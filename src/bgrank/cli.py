@@ -13,7 +13,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -36,7 +35,6 @@ from .partitions import (
 )
 from .reporting import RunReport
 from .series import (
-    StatTable,
     euler_factor_product,
     joint_table,
     p2_table,
@@ -70,7 +68,6 @@ CANDIDATE_PRINTED = math.sqrt(2.0) * 6.0**-0.75
 class RunContext:
     cache_dir: Path | None
     fmt: str
-    threads: int
 
 
 def _resolve_cache_dir(args) -> Path | None:
@@ -86,12 +83,6 @@ def _resolve_cache_dir(args) -> Path | None:
     return root / "bgrank"
 
 
-def _cached_table(ctx: RunContext, kind: str, params: dict, n_max: int, builder) -> StatTable:
-    if ctx.cache_dir is None:
-        return builder()
-    return cache.get_table(kind, params, n_max, builder, ctx.cache_dir)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -100,19 +91,25 @@ def cmd_table(args, ctx: RunContext) -> RunReport:
     stat = args.stat
     n_max = args.n_max
     if stat == "p":
-        table = _cached_table(ctx, "p", {}, n_max, lambda: p_table(n_max))
+        table = cache.get_table("p", {}, n_max, lambda: p_table(n_max), ctx.cache_dir)
     elif stat == "p2":
-        table = _cached_table(ctx, "p2", {}, n_max, lambda: p2_table(n_max))
+        table = cache.get_table("p2", {}, n_max, lambda: p2_table(n_max), ctx.cache_dir)
     elif stat == "pbar":
         if args.j is None:
             raise ValueError("--stat pbar requires --j")
-        table = _cached_table(ctx, "pbar_j", {"j": args.j}, n_max, lambda: pbar_table(args.j, n_max))
+        table = cache.get_table(
+            "pbar_j", {"j": args.j}, n_max, lambda: pbar_table(args.j, n_max), ctx.cache_dir
+        )
     else:  # pbar-ab
         if args.j is None or args.a is None or args.b is None:
             raise ValueError("--stat pbar-ab requires --j, --a and --b")
         params = {"j": args.j, "a": args.a, "b": args.b}
-        table = _cached_table(
-            ctx, "pbar_jab", params, n_max, lambda: pbar_abn_table(args.j, args.a, args.b, n_max)
+        table = cache.get_table(
+            "pbar_jab",
+            params,
+            n_max,
+            lambda: pbar_abn_table(args.j, args.a, args.b, n_max),
+            ctx.cache_dir,
         )
     report = RunReport(
         command="table",
@@ -405,6 +402,8 @@ def _validation_checks(ctx: RunContext):
                         )
                         if not enum == tables[a][n] == biv.row_sum_mod(n, a, b):
                             return False, f"oracle mismatch at n={n} j={j} a={a} b={b}"
+        # "character sum" names the former congruence route; the detail text
+        # is kept byte-identical in the report
         return True, "enumeration = character sum = bivariate sieve, n <= 16"
 
     def series_roundtrip():
@@ -481,18 +480,10 @@ def _validation_checks(ctx: RunContext):
 
 
 def cmd_validate(args, ctx: RunContext) -> RunReport:
-    checks = _validation_checks(ctx)
-
-    def run(item):
-        name, fn = item
+    rows = []
+    for name, fn in _validation_checks(ctx):
         ok, detail = fn()
-        return {"check": name, "passed": ok, "detail": detail}
-
-    if ctx.threads > 1:
-        with ThreadPoolExecutor(max_workers=ctx.threads) as pool:
-            rows = list(pool.map(run, checks))
-    else:
-        rows = [run(item) for item in checks]
+        rows.append({"check": name, "passed": ok, "detail": detail})
     report = RunReport(
         command="validate",
         params={},
@@ -530,17 +521,7 @@ def _report_jobs(ctx: RunContext):
 def cmd_report(args, ctx: RunContext) -> RunReport:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    jobs = _report_jobs(ctx)
-
-    def run(job):
-        name, fn, ns = job
-        return name, fn(ns, ctx)
-
-    if ctx.threads > 1:
-        with ThreadPoolExecutor(max_workers=ctx.threads) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
+    results = [(name, fn(ns, ctx)) for name, fn, ns in _report_jobs(ctx)]
     rows = []
     for name, rep in results:
         (out_dir / f"{name}.csv").write_text(rep.to_csv_text(), encoding="ascii")
@@ -595,7 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cache-dir", default=None, help="table cache directory")
     parser.add_argument("--no-cache", action="store_true", help="disable the on-disk cache")
     parser.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--version", action="version", version=TOOL_VERSION)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -658,13 +638,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(report: RunReport, args, ctx: RunContext) -> None:
     out = getattr(args, "out", None)
-    if report.command == "report":
-        pass  # report writes its own files
-    elif out:
+    if report.command != "report":  # report writes its own files
         text = report.to_csv_text() if ctx.fmt == "csv" else report.to_json_text()
-        Path(out).write_text(text, encoding="ascii")
-    else:
-        sys.stdout.write(report.to_csv_text())
+        if out:
+            Path(out).write_text(text, encoding="ascii")
+        else:
+            sys.stdout.write(text)
     for check in report.checks:
         status = "ok" if check["passed"] else "FAIL"
         print(f"[{report.command}] {status:4s} {check['name']}  {check['detail']}", file=sys.stderr)
@@ -674,11 +653,7 @@ def _emit(report: RunReport, args, ctx: RunContext) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    ctx = RunContext(
-        cache_dir=_resolve_cache_dir(args),
-        fmt=args.fmt,
-        threads=max(1, args.threads),
-    )
+    ctx = RunContext(cache_dir=_resolve_cache_dir(args), fmt=args.fmt)
     started = time.perf_counter()
     try:
         report: RunReport = args.handler(args, ctx)

@@ -4,19 +4,18 @@ Three independent exact routes to the same counts live here:
 
 * ``pbar_eta`` -- counts with fixed alternating-parity rank, via the
   pentagonal recurrence for p(n) and one big-integer self-convolution;
-* ``pbar_abn_table`` -- counts refined by quotient rank mod b, via series
-  with coefficients in the cyclic group ring Z[C_b] and a roots-of-unity
-  character sum extracted with Ramanujan sums (all integer arithmetic,
-  division checked exact);
-* ``joint_table`` -- the full bivariate (rank, size) table from a sparse
-  two-variable product expansion.
+* ``pbar_abn_table`` -- counts refined by quotient rank mod b, read off a
+  series with coefficients in the cyclic group ring Z[C_b] (slot a of each
+  coefficient is the residue class a), built by dividing in place by each
+  product factor and checked row by row against ``pbar_eta``;
+* ``joint_table`` -- the full bivariate (rank, size) table, by the same
+  in-place division over Z[z, z^-1] without reducing the rank mod b.
 
 All coefficients are arbitrary-precision integers; floats never enter.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 import threading
 from dataclasses import dataclass
@@ -31,7 +30,7 @@ _P2: list[int] = [1]
 
 
 class OrthogonalityError(ArithmeticError):
-    """Character sum failed an exact-divisibility check; indicates a bug."""
+    """Residue-class counts do not sum to the rank count; indicates a bug."""
 
 
 # ---------------------------------------------------------------------------
@@ -236,200 +235,39 @@ def ranks_with_support(n_max: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# group-ring series (coefficients in Z[C_b], stored as length-b int vectors)
-
-
-def gr_identity(b: int) -> list[int]:
-    e = [0] * b
-    e[0] = 1
-    return e
-
-
-def gr_rotate(x: Sequence[int], shift: int, b: int) -> list[int]:
-    """Multiply by the generator to the power ``shift``."""
-    return [x[(r - shift) % b] for r in range(b)]
-
-
-def gr_scale_exponents(x: Sequence[int], k: int, b: int) -> list[int]:
-    """Ring map sending the generator g to g^k (exponents multiply by k mod b)."""
-    out = [0] * b
-    for r, c in enumerate(x):
-        if c:
-            out[(r * k) % b] += c
-    return out
-
-
-class GroupRingSeries:
-    """Power series whose q^n coefficient lives in Z[C_b].
-
-    Coefficient vectors index the powers of a fixed b-th root of unity;
-    multiplication rotates indices mod b, so only g^b = 1 is ever used.
-    """
-
-    __slots__ = ("coeffs", "modulus")
-
-    def __init__(self, coeffs: Sequence[Sequence[int]], modulus: int):
-        if modulus < 2:
-            raise ValueError("modulus must be >= 2")
-        self.modulus = modulus
-        self.coeffs = [list(map(operator.index, c)) for c in coeffs]
-        for c in self.coeffs:
-            if len(c) != modulus:
-                raise ValueError("every coefficient must have length = modulus")
-
-    @property
-    def truncation(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coefficient(self, n: int) -> list[int]:
-        return list(self.coeffs[n])
-
-    def eval_at_one(self) -> IntSeries:
-        """Collapse the root of unity to 1 (sum each coefficient vector)."""
-        return IntSeries([sum(c) for c in self.coeffs])
-
-    def scale_exponents(self, k: int) -> "GroupRingSeries":
-        b = self.modulus
-        return GroupRingSeries([gr_scale_exponents(c, k, b) for c in self.coeffs], b)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GroupRingSeries)
-            and self.modulus == other.modulus
-            and self.coeffs == other.coeffs
-        )
-
-
-def _gr_series_invert(a: list[list[int]], b: int, n_max: int) -> list[list[int]]:
-    """Invert a group-ring series whose constant term is the identity."""
-    if a[0] != gr_identity(b):
-        raise ValueError("constant term must be the group-ring identity")
-    inv = [gr_identity(b)] + [[0] * b for _ in range(n_max)]
-    idx = [[(r1 + r2) % b for r2 in range(b)] for r1 in range(b)]
-    for n in range(1, n_max + 1):
-        acc = [0] * b
-        for i in range(1, n + 1):
-            ai = a[i]
-            src = inv[n - i]
-            for r1 in range(b):
-                c = ai[r1]
-                if c:
-                    row = idx[r1]
-                    for r2 in range(b):
-                        v = src[r2]
-                        if v:
-                            acc[row[r2]] -= c * v
-        inv[n] = acc
-    return inv
-
-
-@lru_cache(maxsize=64)
-def _h_groupring_rows(j: int, b: int, k: int, n_max: int) -> tuple[tuple[int, ...], ...]:
-    shift = bg_core_size(j)
-    nq = (n_max - shift) // 2 if n_max >= shift else -1
-    zero = (0,) * b
-    if nq < 0:
-        return (zero,) * (n_max + 1)
-    # product of (1 - g^k Q^i)(1 - g^-k Q^i), i = 1..nq, in the halved variable Q = q^2
-    prod: list[list[int]] = [[0] * b for _ in range(nq + 1)]
-    prod[0][0] = 1
-    for i in range(1, nq + 1):
-        for kk in (k % b, (-k) % b):
-            rot = [(r - kk) % b for r in range(b)]
-            for m in range(nq, i - 1, -1):
-                row = prod[m]
-                src = prod[m - i]
-                for r in range(b):
-                    row[r] -= src[rot[r]]
-    inv = _gr_series_invert(prod, b, nq)
-    out: list[tuple[int, ...]] = [zero] * (n_max + 1)
-    for m in range(nq + 1):
-        out[2 * m + shift] = tuple(inv[m])
-    return tuple(out)
-
-
-def expand_H_groupring(j: int, b: int, k: int, n_max: int) -> GroupRingSeries:
-    """Rank generating function at a b-th root of unity, tracked symbolically.
-
-    Expands q^{j(2j-1)} / prod_{i>=1} (1 - g^k q^{2i})(1 - g^{-k} q^{2i}) with
-    g^b = 1, coefficients exact in Z[C_b].  k = 0 mod b is rejected: that
-    specialization collapses to the plain integer series (see pbar_eta).
-    """
-    if b < 2:
-        raise ValueError("b must be >= 2")
-    if not 1 <= k <= b - 1:
-        raise ValueError("k must lie in [1, b-1]")
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    rows = _h_groupring_rows(j, b, k, n_max)
-    return GroupRingSeries([list(r) for r in rows], b)
-
-
-# ---------------------------------------------------------------------------
-# congruence-class tables via the character sum
-
-
-def mobius(n: int) -> int:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    out = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            out = -out
-        d += 1
-    if n > 1:
-        out = -out
-    return out
-
-
-def totient(n: int) -> int:
-    out = 0
-    for k in range(1, n + 1):
-        if math.gcd(k, n) == 1:
-            out += 1
-    return out
-
-
-def ramanujan_sum(b: int, r: int) -> int:
-    """Sum of e^(2 pi i k r / b) over k coprime to b; integer-valued."""
-    g = math.gcd(r % b, b) or b
-    return sum(d * mobius(b // d) for d in range(1, g + 1) if g % d == 0)
+# congruence-class tables over the group ring Z[C_b]
 
 
 @lru_cache(maxsize=32)
 def _pbar_abn_cached(j: int, b: int, n_max: int) -> tuple[tuple[int, ...], ...]:
+    """Rows of q^{j(2j-1)} / prod_{i>=1} (1 - g q^{2i})(1 - g^-1 q^{2i}), g^b = 1.
+
+    Slot a of the q^n coefficient in Z[C_b] counts the partitions of n with
+    rank j and quotient rank = a mod b; the result holds one row per a.
+    """
     pb = pbar_values(j, n_max)
-    rows1 = _h_groupring_rows(j, b, 1, n_max)
-    phi = totient(b)
-    cb = [ramanujan_sum(b, r) for r in range(b)]
+    shift = bg_core_size(j)
+    nq = (n_max - shift) // 2 if n_max >= shift else -1
     tables = [[0] * (n_max + 1) for _ in range(b)]
-    for n in range(n_max + 1):
-        base = rows1[n]
-        if pb[n] == 0 and not any(base):
-            continue
+    if nq < 0:
+        return tuple(tuple(row) for row in tables)
+    # divide the identity in place by each factor (1 - g^e Q^i), Q = q^2:
+    # f[m] += g^e f[m - i] with m ascending, so f[m - i] is already divided
+    f = [[0] * b for _ in range(nq + 1)]
+    f[0][0] = 1
+    for i in range(1, nq + 1):
+        for e in (1, -1):
+            to = [(r + e) % b for r in range(b)]
+            for m in range(i, nq + 1):
+                dst = f[m]
+                for t, c in zip(to, f[m - i]):
+                    dst[t] += c
+    for m, row in enumerate(f):
+        n = 2 * m + shift
+        if sum(row) != pb[n]:
+            raise OrthogonalityError(f"residue classes mod {b} do not sum to pbar({j}, {n})")
         for a in range(b):
-            # character-weighted sum over k: base slot r contributes at k(r - a) mod b
-            s = [0] * b
-            s[0] = pb[n]
-            for k in range(1, b):
-                for r in range(b):
-                    c = base[r]
-                    if c:
-                        s[(k * (r - a)) % b] += c
-            t = sum(s[r] * cb[r] for r in range(b))
-            q1, rem = divmod(t, phi)
-            if rem:
-                raise OrthogonalityError(
-                    f"character sum not divisible by phi({b}) at n={n}, a={a}"
-                )
-            q2, rem = divmod(q1, b)
-            if rem:
-                raise OrthogonalityError(f"orthogonality sum not divisible by b={b} at n={n}, a={a}")
-            tables[a][n] = q2
+            tables[a][n] = row[a]
     return tuple(tuple(row) for row in tables)
 
 
@@ -451,6 +289,8 @@ def pbar_abn_table(j: int, a: int, b: int, n_max: int) -> StatTable:
         {"j": j, "a": a, "b": b},
         values,
         n_max,
+        # the label of the former character-sum route, kept so that report
+        # files and cache headers stay byte-identical
         route="roots-of-unity-orthogonality",
     )
 
@@ -498,24 +338,16 @@ def joint_table(j: int, n_max: int) -> BivariateSeries:
     coeffs: list[dict] = [dict() for _ in range(n_max + 1)]
     if nq < 0:
         return BivariateSeries(coeffs)
-    prod: list[dict] = [dict() for _ in range(nq + 1)]
-    prod[0][0] = 1
+    # 1 / prod_{i>=1} (1 - z Q^i)(1 - z^-1 Q^i) by in-place division, Q = q^2;
+    # f[m] maps r to the coefficient of z^r Q^m
+    f: list[dict] = [{} for _ in range(nq + 1)]
+    f[0][0] = 1
     for i in range(1, nq + 1):
         for e in (1, -1):
-            for m in range(nq, i - 1, -1):
-                tgt = prod[m]
-                for r, c in prod[m - i].items():
-                    tgt[r + e] = tgt.get(r + e, 0) - c
-    inv: list[dict] = [{0: 1}]
-    for n in range(1, nq + 1):
-        acc: dict = {}
-        for i in range(1, n + 1):
-            for r1, c in prod[i].items():
-                if c:
-                    for r2, v in inv[n - i].items():
-                        key = r1 + r2
-                        acc[key] = acc.get(key, 0) - c * v
-        inv.append({kk: vv for kk, vv in acc.items() if vv})
-    for m in range(nq + 1):
-        coeffs[2 * m + shift] = inv[m]
+            for m in range(i, nq + 1):
+                dst = f[m]
+                for r, c in f[m - i].items():
+                    dst[r + e] = dst.get(r + e, 0) + c
+    for m, row in enumerate(f):
+        coeffs[2 * m + shift] = row
     return BivariateSeries(coeffs)

@@ -153,6 +153,12 @@ def test_cli_table_json_format(tmp_path):
     assert doc["rows"][-1] == {"n": 6, "value": 65}
 
 
+def test_cli_table_json_format_to_stdout(capsys):
+    assert main(["--no-cache", "--format", "json", "table", "--stat", "p", "--n-max", "5"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["rows"][-1] == {"n": 5, "value": 7}
+
+
 def test_cli_equidist_exact_ones(capsys):
     code = main(["--no-cache", "equidist", "--j", "0", "--b", "5", "--n", "4"])
     assert code == 0
@@ -207,23 +213,6 @@ def test_cli_uses_cache_dir(tmp_path):
 
 def test_cli_validate(capsys):
     assert main(["--no-cache", "validate"]) == 0
-
-
-def test_cli_validate_threaded_matches_serial(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(["--no-cache", "validate", "--out", str(a)]) == 0
-    assert main(["--no-cache", "--threads", "4", "validate", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_cli_report_threaded_matches_serial(tmp_path):
-    serial, threaded = tmp_path / "serial", tmp_path / "threaded"
-    assert main(["--no-cache", "report", "--out", str(serial)]) == 0
-    assert main(["--no-cache", "--threads", "4", "report", "--out", str(threaded)]) == 0
-    names = sorted(p.name for p in serial.iterdir())
-    assert names == sorted(p.name for p in threaded.iterdir())
-    for name in names:
-        assert (serial / name).read_bytes() == (threaded / name).read_bytes(), name
 
 
 def test_cli_joint(tmp_path):

@@ -10,10 +10,7 @@ from bgrank.series import (
     OrthogonalityError,
     StatTable,
     euler_factor_product,
-    expand_H_groupring,
-    gr_scale_exponents,
     joint_table,
-    mobius,
     p2_table,
     p2_values,
     p_table,
@@ -23,10 +20,8 @@ from bgrank.series import (
     pbar_eta,
     pbar_table,
     pbar_values,
-    ramanujan_sum,
     ranks_with_support,
     series_invert,
-    totient,
 )
 
 # frozen by hand convolution of p(0..10) = 1,1,2,3,5,7,11,15,22,30,42
@@ -141,66 +136,21 @@ def test_stat_tables():
 # group-ring route
 
 
-def test_expand_groupring_examples():
-    g = expand_H_groupring(0, 2, 1, 8)
-    assert g.coefficient(0) == [1, 0]  # identity
-    assert g.coefficient(2) == [0, 2]  # two partitions at rank = 1 mod 2
-    with pytest.raises(ValueError):
-        expand_H_groupring(0, 2, 0, 8)
-    with pytest.raises(ValueError):
-        expand_H_groupring(0, 2, 2, 8)
-
-
-def test_expand_groupring_collapse_matches_pbar():
-    for j in (0, 1, 2, -2):
-        g = expand_H_groupring(j, 3, 1, 30)
-        collapsed = g.eval_at_one()
-        want = pbar_values(j, 30)
-        assert collapsed.coeffs == want
-
-
-def test_expand_groupring_exponent_scaling_hom():
-    # evaluating at the k-th power equals the exponent-scaling ring map
-    for b, k in ((5, 2), (5, 4), (4, 2), (6, 3)):
-        direct = expand_H_groupring(0, b, k, 24)
-        scaled = expand_H_groupring(0, b, 1, 24).scale_exponents(k)
-        assert direct == scaled
-
-
-def test_gr_scale_exponents_collision():
-    # b=4, k=2 folds odd slots together
-    assert gr_scale_exponents([0, 3, 0, 5], 2, 4) == [0, 0, 8, 0]
-
-
-def test_gr_rotate():
-    from bgrank.series import gr_rotate
-
-    x = [1, 2, 3, 0, 0]
-    assert gr_rotate(x, 0, 5) == x
-    assert gr_rotate(x, 1, 5) == [0, 1, 2, 3, 0]
-    assert gr_rotate(gr_rotate(x, 3, 5), -3, 5) == x
-    assert gr_rotate(x, 5, 5) == x
-
-
 def test_orthogonality_failure_is_loud(monkeypatch):
     import bgrank.series as series_mod
 
+    real = series_mod.pbar_values
+
+    def off_by_one(j, n_max):
+        values = real(j, n_max)
+        values[4] += 1
+        return values
+
     series_mod._pbar_abn_cached.cache_clear()
-    monkeypatch.setattr(series_mod, "ramanujan_sum", lambda b, r: 1)
-    with pytest.raises(OrthogonalityError):
+    monkeypatch.setattr(series_mod, "pbar_values", off_by_one)
+    with pytest.raises(OrthogonalityError, match="pbar"):
         series_mod.pbar_abn_values(0, 5, 8)
     series_mod._pbar_abn_cached.cache_clear()
-
-
-def test_mobius_totient_ramanujan():
-    assert [mobius(n) for n in range(1, 11)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
-    assert [totient(n) for n in range(1, 11)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4]
-    # c_b(0) = phi(b); prime b: c_b(r != 0) = -1
-    for b in (2, 3, 5, 7):
-        assert ramanujan_sum(b, 0) == totient(b)
-        assert all(ramanujan_sum(b, r) == -1 for r in range(1, b))
-    assert [ramanujan_sum(4, r) for r in range(4)] == [2, 0, -2, 0]
-    assert [ramanujan_sum(6, r) for r in range(6)] == [2, 1, -1, -2, -1, 1]
 
 
 def test_pbar_abn_examples():
@@ -211,7 +161,7 @@ def test_pbar_abn_examples():
 
 
 def test_pbar_abn_sums_to_pbar():
-    for j in (0, 2):
+    for j in (0, 1, 2, -2):
         for b in (2, 3, 4, 5):
             tables = pbar_abn_values(j, b, 30)
             want = pbar_values(j, 30)
