@@ -1,8 +1,8 @@
 """Exact and asymptotic statistics of integer partitions refined by their
 2-core and 2-quotient: rank tables with three independent exact routes
-(pair-count shift, in-place division over the group ring Z[C_b], bivariate
-sieve), circle-method coefficient asymptotics, and Jensen/Hermite convergence
-checks with exact hyperbolicity certificates."""
+(brute-force enumeration, crank sums over the pair counts, bivariate sieve),
+circle-method coefficient asymptotics, and Jensen/Hermite convergence checks
+with exact hyperbolicity certificates."""
 
 from ._meta import TOOL_VERSION as __version__
 from .partitions import (

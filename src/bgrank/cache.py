@@ -3,8 +3,9 @@
 One CSV file per table: a magic line, a JSON meta line (kind, params, n_max,
 route, tool_version), a SHA-256 line over the data block, then ``n,value``
 rows with big integers as base-10 strings.  Writes are atomic
-(rename-on-write); a checksum or metadata mismatch makes the loader return
-None so the caller recomputes -- corrupt data is never served.
+(rename-on-write); a checksum or metadata mismatch, including a file written
+by another tool version, makes the loader return None so the caller
+recomputes -- corrupt or stale data is never served.
 """
 
 from __future__ import annotations
@@ -131,6 +132,8 @@ def load_table(directory, kind: str, params: dict, n_max: int) -> StatTable | No
     except ValueError:
         return None
     if meta.get("kind") != kind or meta.get("n_max") != n_max:
+        return None
+    if meta.get("tool_version") != TOOL_VERSION:
         return None
     if {k: v for k, v in meta.get("params", {}).items()} != dict(params):
         return None

@@ -2,14 +2,18 @@
 
 Three independent exact routes to the same counts live here:
 
-* ``pbar_eta`` -- counts with fixed alternating-parity rank, via the
-  pentagonal recurrence for p(n) and one big-integer self-convolution;
-* ``pbar_abn_table`` -- counts refined by quotient rank mod b, read off a
-  series with coefficients in the cyclic group ring Z[C_b] (slot a of each
-  coefficient is the residue class a), built by dividing in place by each
-  product factor and checked row by row against ``pbar_eta``;
-* ``joint_table`` -- the full bivariate (rank, size) table, by the same
-  in-place division over Z[z, z^-1] without reducing the rank mod b.
+* ``pbar_eta`` -- counts with fixed alternating-parity rank, read off the
+  pair counts p2 = coefficients of 1/(q;q)_oo^2; p and p2 are each one
+  sparse division by (q;q)_oo (Euler's pentagonal number theorem), so
+  p2 = (1/(q;q)_oo) / (q;q)_oo costs O(N^1.5) additions;
+* ``pbar_abn_table`` -- counts refined by quotient rank mod b, summed from
+  the crank generating function (Andrews-Garvan 1988): the coefficient of
+  z^m in 1/((zQ;Q)_oo (z^-1 Q;Q)_oo) is
+  (1/(Q;Q)_oo^2) sum_{k>=1} (-1)^(k-1) Q^(k(k-1)/2 + k|m|) (1 - Q^k),
+  so each residue class is O(sqrt N) shifted progression sums of p2,
+  O(b N^1.5) in all, checked row by row against ``pbar_eta``;
+* ``joint_table`` -- the full bivariate (rank, size) table, by in-place
+  division over Z[z, z^-1] by each factor of the product.
 
 All coefficients are arbitrary-precision integers; floats never enter.
 """
@@ -18,8 +22,9 @@ from __future__ import annotations
 
 import operator
 import threading
+from bisect import bisect_right
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .partitions import bg_core_size
@@ -121,23 +126,32 @@ def euler_factor_product(n_max: int, step: int = 1, power: int = 1) -> IntSeries
 # counting tables
 
 
+def _grow_quotient(out: list[int], src: Sequence[int], n_max: int) -> None:
+    """Extend ``out`` in place to the coefficients of src / (q;q)_oo through q^n_max.
+
+    By the pentagonal number theorem (q;q)_oo = sum_k (-1)^k q^(k(3k-1)/2),
+    so out[n] = src[n] + sum_{g in G+} out[n-g] - sum_{g in G-} out[n-g],
+    G+ (G-) the generalized pentagonal numbers k(3k-1)/2, k(3k+1)/2 <= n
+    with k odd (even).  Entries of ``src`` past its end count as zero.
+    """
+    plus: list[int] = []
+    minus: list[int] = []
+    k = 1
+    while k * (3 * k - 1) // 2 <= n_max:
+        dst = plus if k % 2 else minus
+        dst += (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)
+        k += 1
+    # plus and minus are ascending, so a bisection cuts each at n
+    for n in range(len(out), n_max + 1):
+        acc = sum([out[n - g] for g in plus[: bisect_right(plus, n)]]) - sum(
+            [out[n - g] for g in minus[: bisect_right(minus, n)]]
+        )
+        out.append(acc + src[n] if n < len(src) else acc)
+
+
 def _grow_p(n_max: int) -> None:
     with _LOCK:
-        while len(_P) <= n_max:
-            n = len(_P)
-            total = 0
-            k = 1
-            while True:
-                g1 = n - k * (3 * k - 1) // 2
-                if g1 < 0:
-                    break
-                term = _P[g1]
-                g2 = g1 - k
-                if g2 >= 0:
-                    term += _P[g2]
-                total += term if k % 2 else -term
-                k += 1
-            _P.append(total)
+        _grow_quotient(_P, (1,), n_max)
 
 
 def p_values(n_max: int) -> list[int]:
@@ -152,16 +166,11 @@ def p_values(n_max: int) -> list[int]:
 def _grow_p2(m_max: int) -> None:
     _grow_p(m_max)
     with _LOCK:
-        P = _P
-        while len(_P2) <= m_max:
-            m = len(_P2)
-            c = (m + 1) // 2
-            s2 = sum(map(operator.mul, P[:c], P[m : m - c : -1])) if c else 0
-            _P2.append(2 * s2 + (P[m // 2] ** 2 if m % 2 == 0 else 0))
+        _grow_quotient(_P2, _P, m_max)
 
 
 def p2_values(m_max: int) -> list[int]:
-    """Coefficients of 1/(q;q)_oo^2 (pairs of partitions), by self-convolution."""
+    """Coefficients of 1/(q;q)_oo^2 (pairs of partitions): p divided by (q;q)_oo."""
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
     _grow_p2(m_max)
@@ -199,6 +208,8 @@ def p_table(n_max: int) -> StatTable:
 
 
 def p2_table(n_max: int) -> StatTable:
+    # the label of the former self-convolution route, kept so that report
+    # files and cache headers stay byte-identical
     return StatTable("p2", {}, p2_values(n_max), n_max, route="p-self-convolution")
 
 
@@ -217,6 +228,8 @@ def pbar_eta(j: int, n: int) -> int:
 
 
 def pbar_values(j: int, n_max: int) -> list[int]:
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     shift = bg_core_size(j)
     if shift <= n_max:
         _grow_p2((n_max - shift) // 2)
@@ -235,47 +248,76 @@ def ranks_with_support(n_max: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# congruence-class tables over the group ring Z[C_b]
+# congruence-class tables from crank sums over p2
+
+_PBAR_AB_MAX = 32
+# b -> Q-rows built for the largest Q-degree asked so far (the rank j only
+# shifts them by its 2-core); smaller requests are served from a prefix.
+# Least recently used first.
+_PBAR_AB: OrderedDict[int, tuple[list[int], ...]] = OrderedDict()
 
 
-@lru_cache(maxsize=32)
-def _pbar_abn_cached(j: int, b: int, n_max: int) -> tuple[tuple[int, ...], ...]:
-    """Rows of q^{j(2j-1)} / prod_{i>=1} (1 - g q^{2i})(1 - g^-1 q^{2i}), g^b = 1.
+def _residue_rows(b: int, nq: int) -> tuple[list[int], ...]:
+    """Rows[a][m]: coefficient of Q^m, summed over quotient ranks = a mod b.
 
-    Slot a of the q^n coefficient in Z[C_b] counts the partitions of n with
-    rank j and quotient rank = a mod b; the result holds one row per a.
+    The z^m coefficient of 1/((zQ;Q)_oo (z^-1 Q;Q)_oo) is
+    p2(Q) sum_{k>=1} (-1)^(k-1) Q^(k(k-1)/2 + k|m|) (1 - Q^k); summing it over
+    |m| = r, r + b, r + 2b, ... divides by 1 - Q^(kb).  Class a collects
+    r = a (m >= 0) and r = b - a (m < 0; for a = 0, r = b).
     """
-    pb = pbar_values(j, n_max)
+    p2 = p2_values(nq)
+    half = [[0] * (nq + 1) for _ in range(b // 2 + 1)]
+    k = 1
+    while k * (k - 1) // 2 <= nq:
+        # d = p2 (1 - Q^k) / (1 - Q^(kb))
+        d = p2[:]
+        d[k:] = map(operator.sub, d[k:], p2[: nq + 1 - k])
+        step = k * b
+        for i in range(step, nq + 1, step):
+            d[i : i + step] = map(operator.add, d[i : i + step], d[i - step : i])
+        op = operator.add if k % 2 else operator.sub
+        for a, row in enumerate(half):
+            for r in (a, b - a):
+                off = k * (k - 1) // 2 + k * r
+                if off <= nq:
+                    row[off:] = map(op, row[off:], d[: nq + 1 - off])
+        k += 1
+    # m -> -m maps class a onto class b - a
+    rows = tuple(half[min(a, b - a)] for a in range(b))
+    pb = pbar_values(0, 2 * nq)
+    for m in range(nq + 1):
+        if sum(row[m] for row in rows) != pb[2 * m]:
+            raise OrthogonalityError(f"residue classes mod {b} do not sum to pbar(0, {2 * m})")
+    return rows
+
+
+def _pbar_abn_cached(j: int, b: int, n_max: int) -> list[list[int]]:
+    """For each residue a, counts of size 0..n_max with rank j and quotient rank = a mod b."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     shift = bg_core_size(j)
-    nq = (n_max - shift) // 2 if n_max >= shift else -1
     tables = [[0] * (n_max + 1) for _ in range(b)]
-    if nq < 0:
-        return tuple(tuple(row) for row in tables)
-    # divide the identity in place by each factor (1 - g^e Q^i), Q = q^2:
-    # f[m] += g^e f[m - i] with m ascending, so f[m - i] is already divided
-    f = [[0] * b for _ in range(nq + 1)]
-    f[0][0] = 1
-    for i in range(1, nq + 1):
-        for e in (1, -1):
-            to = [(r + e) % b for r in range(b)]
-            for m in range(i, nq + 1):
-                dst = f[m]
-                for t, c in zip(to, f[m - i]):
-                    dst[t] += c
-    for m, row in enumerate(f):
-        n = 2 * m + shift
-        if sum(row) != pb[n]:
-            raise OrthogonalityError(f"residue classes mod {b} do not sum to pbar({j}, {n})")
-        for a in range(b):
-            tables[a][n] = row[a]
-    return tuple(tuple(row) for row in tables)
+    if n_max < shift:
+        return tables
+    nq = (n_max - shift) // 2
+    with _LOCK:
+        rows = _PBAR_AB.get(b)
+        if rows is None or len(rows[0]) <= nq:
+            rows = _residue_rows(b, nq)
+        _PBAR_AB[b] = rows
+        _PBAR_AB.move_to_end(b)
+        if len(_PBAR_AB) > _PBAR_AB_MAX:
+            _PBAR_AB.popitem(last=False)
+    for table, row in zip(tables, rows):
+        table[shift::2] = row[: nq + 1]
+    return tables
 
 
 def pbar_abn_values(j: int, b: int, n_max: int) -> list[list[int]]:
     """For each residue a, counts with rank j and quotient rank = a mod b."""
     if b < 2:
         raise ValueError("b must be >= 2")
-    return [list(row) for row in _pbar_abn_cached(j, b, n_max)]
+    return _pbar_abn_cached(j, b, n_max)
 
 
 def pbar_abn_table(j: int, a: int, b: int, n_max: int) -> StatTable:
@@ -283,14 +325,14 @@ def pbar_abn_table(j: int, a: int, b: int, n_max: int) -> StatTable:
         raise ValueError("b must be >= 2")
     if not 0 <= a < b:
         raise ValueError("a must lie in [0, b)")
-    values = list(_pbar_abn_cached(j, b, n_max)[a])
+    values = _pbar_abn_cached(j, b, n_max)[a]
     return StatTable(
         "pbar_jab",
         {"j": j, "a": a, "b": b},
         values,
         n_max,
-        # the label of the former character-sum route, kept so that report
-        # files and cache headers stay byte-identical
+        # the label of the former character-sum route (now crank sums), kept
+        # so that report files and cache headers stay byte-identical
         route="roots-of-unity-orthogonality",
     )
 

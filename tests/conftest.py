@@ -12,7 +12,7 @@ def p2_big():
 
 @pytest.fixture(scope="session")
 def pbar_ab_b5():
-    """Residue-class tables for j=0, b=5 through n=2000 (one group-ring expansion)."""
+    """Residue-class tables for j=0, b=5 through n=2000 (crank sums over p2(0..1000))."""
     return pbar_abn_values(0, 5, 2000)
 
 

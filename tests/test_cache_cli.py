@@ -97,6 +97,18 @@ def test_cache_misses(tmp_path):
     assert got is not None and got.route == "test"
 
 
+def test_cache_rejects_other_tool_version(tmp_path):
+    from bgrank._meta import TOOL_VERSION
+
+    path = save_table(tmp_path, p_table(30))
+    magic, meta, rest = path.read_text(encoding="ascii").split("\n", 2)
+    stamp = f'"tool_version":"{TOOL_VERSION}"'
+    assert stamp in meta
+    meta = meta.replace(stamp, '"tool_version":"0.0.1"')
+    path.write_text("\n".join([magic, meta, rest]), encoding="ascii")
+    assert load_table(tmp_path, "p", {}, 30) is None
+
+
 def test_cache_inspect(tmp_path):
     from bgrank._meta import TOOL_VERSION
     from bgrank.cache import inspect_cache_file
@@ -172,6 +184,20 @@ def test_cli_equidist_exact_ones(capsys):
 
 def test_cli_joint_cap_is_argument_error():
     assert main(["--no-cache", "joint", "--j", "0", "--n-max", "70"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--stat", "pbar-ab", "--j", "0", "--a", "0", "--b", "5", "--n-max", "-1"],
+        ["table", "--stat", "pbar", "--j", "0", "--n-max", "-3"],
+    ],
+)
+def test_cli_negative_n_max_is_argument_error(argv, capsys):
+    assert main(["--no-cache", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n_max must be >= 0" in captured.err
 
 
 def test_cli_missing_param_is_argument_error():

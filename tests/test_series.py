@@ -1,4 +1,4 @@
-"""Exact series machinery: tables, inverses, group-ring and bivariate routes."""
+"""Exact series machinery: tables, inverses, crank-sum and bivariate routes."""
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +9,7 @@ from bgrank.series import (
     IntSeries,
     OrthogonalityError,
     StatTable,
+    _grow_quotient,
     euler_factor_product,
     joint_table,
     p2_table,
@@ -47,6 +48,24 @@ def test_p2_hand_values():
     assert p2_values(10) == P2_HAND
     pv, p2 = p_values(40), p2_values(40)
     assert all(p2[m] >= pv[m] for m in range(41))
+
+
+def test_p2_matches_self_convolution():
+    pv, p2 = p_values(400), p2_values(400)
+    for m in range(401):
+        assert p2[m] == sum(pv[i] * pv[m - i] for i in range(m + 1))
+
+
+def test_quotient_growth_in_steps_matches_one_step():
+    # pentagonal offsets must carry across each growth boundary
+    for src in ((1,), p_values(300)):
+        stepped: list[int] = []
+        for n_max in (0, 37, 300):
+            _grow_quotient(stepped, src, n_max)
+        fresh: list[int] = []
+        _grow_quotient(fresh, src, 300)
+        assert stepped == fresh
+    assert fresh == p2_values(300)
 
 
 def test_int_series_basic_ops():
@@ -133,7 +152,7 @@ def test_stat_tables():
 
 
 # ---------------------------------------------------------------------------
-# group-ring route
+# crank-sum route
 
 
 def test_orthogonality_failure_is_loud(monkeypatch):
@@ -146,11 +165,10 @@ def test_orthogonality_failure_is_loud(monkeypatch):
         values[4] += 1
         return values
 
-    series_mod._pbar_abn_cached.cache_clear()
+    monkeypatch.setattr(series_mod, "_PBAR_AB", series_mod.OrderedDict())
     monkeypatch.setattr(series_mod, "pbar_values", off_by_one)
     with pytest.raises(OrthogonalityError, match="pbar"):
         series_mod.pbar_abn_values(0, 5, 8)
-    series_mod._pbar_abn_cached.cache_clear()
 
 
 def test_pbar_abn_examples():
@@ -177,6 +195,25 @@ def test_pbar_abn_matches_enumeration_including_composite_b(censuses_even_30):
             for a in range(b):
                 enum = sum(c for (j, m), c in census.items() if j == 0 and m % b == a)
                 assert tables[a][n] == enum
+
+
+def test_pbar_abn_serves_prefix_of_larger_build():
+    large = pbar_abn_values(1, 7, 120)
+    small = pbar_abn_values(1, 7, 41)
+    assert small == [row[:42] for row in large]
+    assert [row[:121] for row in pbar_abn_values(1, 7, 201)] == large
+
+
+@given(j=st.integers(-3, 3), b=st.integers(2, 12), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_pbar_abn_matches_bivariate_and_enumeration(j, b, data, censuses_even_30):
+    a = data.draw(st.integers(0, b - 1), label="a")
+    n = data.draw(st.integers(0, 60), label="n")
+    count = pbar_abn_values(j, b, n)[a][n]
+    assert count == joint_table(j, n).row_sum_mod(n, a, b)
+    if n in censuses_even_30:
+        census = censuses_even_30[n]
+        assert count == sum(c for (jj, m), c in census.items() if jj == j and m % b == a)
 
 
 def test_pbar_abn_table_wrapper():
@@ -221,7 +258,7 @@ def test_joint_cap():
 
 
 def test_dual_route_agreement_to_cap():
-    # orthogonality vs bivariate sieve over the whole bivariate range
+    # crank sums vs bivariate sieve over the whole bivariate range
     for j in (0, 2):
         biv = joint_table(j, 60)
         from bgrank.partitions import bg_core_size
