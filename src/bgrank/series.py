@@ -134,6 +134,8 @@ def _grow_quotient(out: list[int], src: Sequence[int], n_max: int) -> None:
     G+ (G-) the generalized pentagonal numbers k(3k-1)/2, k(3k+1)/2 <= n
     with k odd (even).  Entries of ``src`` past its end count as zero.
     """
+    if len(out) > n_max:
+        return
     plus: list[int] = []
     minus: list[int] = []
     k = 1
@@ -163,19 +165,19 @@ def p_values(n_max: int) -> list[int]:
         return _P[: n_max + 1]
 
 
-def _grow_p2(m_max: int) -> None:
-    _grow_p(m_max)
+def _grow_p2(n_max: int) -> None:
+    _grow_p(n_max)
     with _LOCK:
-        _grow_quotient(_P2, _P, m_max)
+        _grow_quotient(_P2, _P, n_max)
 
 
-def p2_values(m_max: int) -> list[int]:
+def p2_values(n_max: int) -> list[int]:
     """Coefficients of 1/(q;q)_oo^2 (pairs of partitions): p divided by (q;q)_oo."""
-    if m_max < 0:
-        raise ValueError("m_max must be >= 0")
-    _grow_p2(m_max)
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    _grow_p2(n_max)
     with _LOCK:
-        return _P2[: m_max + 1]
+        return _P2[: n_max + 1]
 
 
 def _p2_at(m: int) -> int:
@@ -228,12 +230,15 @@ def pbar_eta(j: int, n: int) -> int:
 
 
 def pbar_values(j: int, n_max: int) -> list[int]:
+    """pbar_eta(j, n) for n = 0..n_max: the pair counts at every second n
+    from the 2-core size on, zero elsewhere."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    out = [0] * (n_max + 1)
     shift = bg_core_size(j)
     if shift <= n_max:
-        _grow_p2((n_max - shift) // 2)
-    return [pbar_eta(j, n) for n in range(n_max + 1)]
+        out[shift::2] = p2_values((n_max - shift) // 2)
+    return out
 
 
 def pbar_table(j: int, n_max: int) -> StatTable:

@@ -1,6 +1,6 @@
 """Jensen polynomials of integer sequences, exact real-rootedness
-certificates by Sturm chains over the rationals, Hermite polynomials, and
-scanning checks of the order-2/order-3 inequalities and superadditivity.
+certificates by integer Sturm chains, Hermite polynomials, and scanning
+checks of the order-2/order-3 inequalities and superadditivity.
 
 Conventions (fixed here, documented once):
 
@@ -10,77 +10,88 @@ Conventions (fixed here, documented once):
 * hyperbolic means every root real, counted with multiplicity.
 
 Polynomials are coefficient lists, low degree first.  Root counting is exact
-(integers/Fractions); the renormalized-limit comparisons are floating point.
+and uses integers only: rational input is scaled once by the lcm of its
+denominators, and the Sturm chain is a primitive pseudo-remainder sequence,
+each member a positive multiple of the classical one over the rationals.
+Its last member is gcd(p, p'), which the count of roots with multiplicity
+recurses on.  The renormalized-limit comparisons are floating point.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 
 # ---------------------------------------------------------------------------
-# exact polynomial helpers (coefficients low -> high)
+# exact polynomial helpers (integer coefficients, low -> high)
 
 
-def _trim(cs: list[Fraction]) -> list[Fraction]:
+def _trim(cs: list[int]) -> list[int]:
     while cs and cs[-1] == 0:
         cs.pop()
     return cs
 
 
-def _degree(cs: Sequence[Fraction]) -> int:
+def _degree(cs: Sequence[int]) -> int:
     return len(cs) - 1
 
 
-def _deriv(cs: Sequence[Fraction]) -> list[Fraction]:
-    return [i * c for i, c in enumerate(cs)][1:]
+def _to_ints(coeffs: Sequence) -> list[int]:
+    """The coefficients times the positive lcm of their denominators."""
+    try:
+        cs = [operator.index(c) for c in coeffs]
+    except TypeError:
+        fr = [Fraction(c) for c in coeffs]
+        den = math.lcm(*(f.denominator for f in fr))
+        cs = [f.numerator * (den // f.denominator) for f in fr]
+    return _trim(cs)
 
 
-def _divmod_poly(num: Sequence[Fraction], den: Sequence[Fraction]):
-    num = list(num)
-    den = list(den)
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    lead = den[-1]
-    for shift in range(len(num) - len(den), -1, -1):
-        c = num[shift + len(den) - 1] / lead
+def _prim(cs: list[int]) -> list[int]:
+    """Primitive part: divided by the positive gcd of the coefficients."""
+    g = math.gcd(*cs)
+    return cs if g == 1 else [c // g for c in cs]
+
+
+def _neg_prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """-prim of the remainder of c * a by b, for some integer c > 0.
+
+    Each step multiplies the running remainder by |lc(b)| / g and subtracts
+    a multiple of b, g the gcd of |lc(b)| with the leading coefficient
+    being cancelled, so only positive factors enter and no division leaves
+    the integers.
+    """
+    r = list(a)
+    n = len(b) - 1
+    lead = abs(b[-1])
+    sgn = 1 if b[-1] > 0 else -1
+    for top in range(len(r) - 1, n - 1, -1):
+        c = r.pop()
         if c:
-            q[shift] = c
-            for i, d in enumerate(den):
-                num[shift + i] -= c * d
-    return q, _trim(num)
-
-
-def _monic(cs: list[Fraction]) -> list[Fraction]:
-    lead = cs[-1]
-    return [c / lead for c in cs]
-
-
-def _gcd_poly(pa: Sequence[Fraction], pb: Sequence[Fraction]) -> list[Fraction]:
-    a = _trim(list(pa))
-    b = _trim(list(pb))
-    while b:
-        _, r = _divmod_poly(a, b)
-        a, b = b, r
-        if b:
-            b = _monic(b)
-    return _monic(a) if a else a
-
-
-def _to_fractions(coeffs: Sequence) -> list[Fraction]:
-    return _trim([Fraction(c) for c in coeffs])
+            g = math.gcd(lead, c)
+            s, t = lead // g, sgn * c // g
+            shift = top - n
+            if s != 1:
+                r = [s * x for x in r]
+            for i in range(n):
+                r[shift + i] -= t * b[i]
+    r = _trim(r)
+    return [-c for c in _prim(r)] if r else r
 
 
 @dataclass(frozen=True)
 class SturmChain:
-    """p, p', then negated remainders; sign variations at -oo minus at +oo
-    equals the number of distinct real roots."""
+    """prim(p), prim(p'), then negated primitive pseudo-remainders, all with
+    integer coefficients.  Each member is a positive multiple of the
+    classical Sturm member (p, p', negated remainders over the rationals), so
+    the sign variations are the same: at -oo minus at +oo they count the
+    distinct real roots.  The last member is gcd(p, p') up to a constant."""
 
-    chain: tuple[tuple[Fraction, ...], ...]
+    chain: tuple[tuple[int, ...], ...]
 
     def variations_at_infinity(self, sign: int) -> int:
         signs = []
@@ -98,23 +109,23 @@ class SturmChain:
 
 
 def sturm_chain(coeffs: Sequence) -> SturmChain:
-    p = _to_fractions(coeffs)
+    p = _to_ints(coeffs)
     if not p:
         raise ValueError("zero polynomial has no Sturm chain")
-    chain = [p]
+    chain = [_prim(p)]
     if _degree(p) >= 1:
-        chain.append(_trim(_deriv(p)))
-    while len(chain) >= 2 and chain[-1] and _degree(chain[-1]) >= 1:
-        _, r = _divmod_poly(chain[-2], chain[-1])
+        chain.append(_prim([i * c for i, c in enumerate(p)][1:]))
+    while _degree(chain[-1]) >= 1:
+        r = _neg_prem(chain[-2], chain[-1])
         if not r:
             break
-        chain.append([-c for c in r])
-    return SturmChain(tuple(tuple(c) for c in chain if c))
+        chain.append(r)
+    return SturmChain(tuple(tuple(c) for c in chain))
 
 
 def real_root_count(coeffs: Sequence) -> int:
     """Number of distinct real roots, by exact Sturm sign variations."""
-    p = _to_fractions(coeffs)
+    p = _to_ints(coeffs)
     if not p:
         raise ValueError("zero polynomial")
     if _degree(p) == 0:
@@ -122,15 +133,14 @@ def real_root_count(coeffs: Sequence) -> int:
     return sturm_chain(p).distinct_real_roots
 
 
-def _real_roots_with_multiplicity(p: list[Fraction]) -> int:
+def _real_roots_with_multiplicity(p: list[int]) -> int:
+    """Real roots of p counted with multiplicity: the distinct ones plus
+    those of g = gcd(p, p'), whose roots are the repeated roots of p, each
+    with multiplicity one less."""
     if _degree(p) <= 0:
         return 0
-    g = _gcd_poly(p, _deriv(p))
-    if _degree(g) == 0:
-        return sturm_chain(p).distinct_real_roots
-    sf, rem = _divmod_poly(p, g)
-    assert not rem, "gcd must divide the polynomial"
-    return sturm_chain(sf).distinct_real_roots + _real_roots_with_multiplicity(g)
+    chain = sturm_chain(p)
+    return chain.distinct_real_roots + _real_roots_with_multiplicity(list(chain.chain[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +170,7 @@ def jensen_poly(seq: Sequence[int], d: int, n: int) -> JensenPoly:
 def is_hyperbolic(poly) -> bool:
     """True iff every root is real (counted with multiplicity); exact."""
     coeffs = poly.coeffs if isinstance(poly, JensenPoly) else poly
-    p = _to_fractions(coeffs)
+    p = _to_ints(coeffs)
     if not p:
         raise ValueError("zero polynomial")
     return _real_roots_with_multiplicity(p) == _degree(p)
@@ -346,13 +356,14 @@ def turan_report(seq: Sequence[int], order, index_range: tuple[int, int]) -> Tur
 
 
 def hyperbolicity_onset(seq: Sequence[int], d: int, hi: int, lo: int = 0) -> int | None:
-    """Smallest m0 with J^{d,m} hyperbolic for every m in [m0, hi]; None if
-    even m = hi fails.  Exact Sturm certificates throughout."""
-    onset = None
-    for m in range(lo, hi + 1):
-        if is_hyperbolic(jensen_poly(seq, d, m)):
-            if onset is None:
-                onset = m
-        else:
-            onset = None
-    return onset
+    """Smallest m0 >= lo with J^{d,m} hyperbolic for every m in [m0, hi]; None
+    if even m = hi fails or the window is empty.  Exact Sturm certificates,
+    scanned down from hi to the first failure."""
+    if lo > hi:
+        return None
+    if lo < 0:
+        raise ValueError("lo must be >= 0")
+    for m in range(hi, lo - 1, -1):
+        if not is_hyperbolic(jensen_poly(seq, d, m)):
+            return None if m == hi else m + 1
+    return lo

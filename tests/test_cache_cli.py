@@ -191,6 +191,7 @@ def test_cli_joint_cap_is_argument_error():
     [
         ["table", "--stat", "pbar-ab", "--j", "0", "--a", "0", "--b", "5", "--n-max", "-1"],
         ["table", "--stat", "pbar", "--j", "0", "--n-max", "-3"],
+        ["table", "--stat", "p2", "--n-max", "-1"],
     ],
 )
 def test_cli_negative_n_max_is_argument_error(argv, capsys):

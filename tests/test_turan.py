@@ -2,6 +2,7 @@
 
 import math
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -79,6 +80,44 @@ def test_hyperbolic_iff_discriminant_on_quadratics(a, b, c):
     assert is_hyperbolic([a, b, c]) == (disc >= 0)
     want_distinct = 2 if disc > 0 else (1 if disc == 0 else 0)
     assert real_root_count([a, b, c]) == want_distinct
+
+
+def _poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for k, y in enumerate(q):
+            out[i + k] += x * y
+    return out
+
+
+# (r, a, mult): the factor (aX - r)^mult
+linear_factors = st.tuples(st.integers(-6, 6), st.integers(1, 3), st.integers(1, 3))
+# (b, c, mult): the factor (X^2 + bX + c)^mult with b^2 < 4c, no real root
+complex_quadratics = st.tuples(st.integers(-4, 4), st.integers(1, 3)).flatmap(
+    lambda bm: st.integers(bm[0] ** 2 // 4 + 1, 20).map(lambda c: (bm[0], c, bm[1]))
+)
+
+
+@given(
+    st.lists(linear_factors, max_size=3),
+    st.lists(complex_quadratics, max_size=2),
+    st.integers(-9, 9).filter(bool),
+    st.integers(1, 12),
+)
+@settings(max_examples=300, deadline=None)
+def test_planted_roots(linears, quadratics, const, den):
+    poly = [const]
+    for r, a, mult in linears:
+        for _ in range(mult):
+            poly = _poly_mul(poly, [-r, a])
+    for b, c, mult in quadratics:
+        for _ in range(mult):
+            poly = _poly_mul(poly, [c, b, 1])
+    distinct = len({Fraction(r, a) for r, a, _ in linears})
+    for coeffs in (poly, [Fraction(c, den) for c in poly]):
+        assert real_root_count(coeffs) == distinct
+        assert sturm_chain(coeffs).distinct_real_roots == distinct
+        assert is_hyperbolic(coeffs) == (not quadratics)
 
 
 def test_hermite_values():
@@ -208,3 +247,21 @@ def test_hyperbolicity_onsets_exact(p2_seq):
         assert not is_hyperbolic(jensen_poly(p2_seq, d, m0 - 1))
         assert is_hyperbolic(jensen_poly(p2_seq, d, m0))
     assert time.time() - t0 < 60
+
+
+def test_hyperbolicity_onset_windows(p2_seq):
+    for d in (2, 3):
+        hyp = [is_hyperbolic(jensen_poly(p2_seq, d, m)) for m in range(41)]
+        for hi in range(41):
+            for lo in range(hi + 1):
+                # smallest m0 >= lo with every m in [m0, hi] hyperbolic
+                want = next((m0 for m0 in range(lo, hi + 1) if all(hyp[m0 : hi + 1])), None)
+                assert hyperbolicity_onset(p2_seq, d, hi, lo) == want
+
+
+def test_hyperbolicity_onset_window_validation(p2_seq):
+    assert hyperbolicity_onset(p2_seq, 2, 10, 11) is None
+    with pytest.raises(ValueError):
+        hyperbolicity_onset(p2_seq, 2, 10, -1)
+    with pytest.raises(ValueError):
+        hyperbolicity_onset(p2_seq, 2, 100, -1)
