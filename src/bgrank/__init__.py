@@ -2,14 +2,15 @@
 2-core and 2-quotient: rank tables with three independent exact routes
 (brute-force enumeration, crank sums over the pair counts, bivariate sieve),
 circle-method coefficient asymptotics, and Jensen/Hermite convergence checks
-with exact hyperbolicity certificates."""
+with exact hyperbolicity certificates.
+
+Series, Jensen coefficients and hook lengths are plain lists and tuples;
+the O(N^2) series oracle behind ``bgrank validate`` is not exported."""
 
 from ._meta import TOOL_VERSION as __version__
 from .partitions import (
     EMPTY,
-    HookTable,
     Partition,
-    TwoQuotientDecomposition,
     bg_core_size,
     bg_rank,
     conjugate,
@@ -20,12 +21,10 @@ from .partitions import (
     littlewood_decompose,
     rank_census,
     staircase,
-    two_quotient,
     two_quotient_rank,
 )
 from .series import (
     BivariateSeries,
-    IntSeries,
     OrthogonalityError,
     StatTable,
     joint_table,
@@ -38,7 +37,6 @@ from .series import (
     pbar_eta,
     pbar_table,
     pbar_values,
-    series_invert,
 )
 from .asymptotics import (
     ArcDominanceReport,
@@ -47,7 +45,6 @@ from .asymptotics import (
     WrightParams,
     arc_dominance_check,
     dilog_identity_residual,
-    f1_major_arc,
     f1_truncated_product,
     h_congruence_numeric,
     lerch_phi_unit,
@@ -57,7 +54,6 @@ from .asymptotics import (
     wright_coefficient,
 )
 from .turan import (
-    JensenPoly,
     RenormSeq,
     SturmChain,
     TuranReport,
@@ -67,7 +63,6 @@ from .turan import (
     is_hyperbolic,
     jensen_poly,
     real_root_count,
-    renorm_sequences,
     renorm_sequences_step2,
     renormalized_jensen,
     sturm_chain,

@@ -1,10 +1,10 @@
 """Floating-point asymptotics for the rank statistics.
 
-Covers values of the Lerch sum Phi(z,2,1) on the unit circle, the leading
-singular form of the q-Pochhammer factor near q = 1, circle-method
-coefficient expansions in Wright's normal form z^B e^(A/z), the closed-form
-leading main term for the rank counts, and numeric checks that the
-near-(+/-1) arcs dominate sampled off-axis points.
+Covers values of the Lerch sum Phi(z,2,1) on the unit circle, direct
+evaluation of the q-Pochhammer factor and of the congruence-class generating
+function, circle-method coefficient expansions in Wright's normal form
+z^B e^(A/z), the closed-form leading main term for the rank counts, and
+numeric checks that the near-(+/-1) arcs dominate sampled off-axis points.
 
 Everything here works in 64-bit binary floating point; the exact-arithmetic
 counterparts live in the series module.
@@ -63,12 +63,6 @@ def lerch_phi_unit(z: complex, tol: float = 1e-12) -> complex:
     return partial
 
 
-def dilog_unit(z: complex, tol: float = 1e-12) -> complex:
-    """Li_2(z) = z * Phi(z, 2, 1) for |z| = 1."""
-    z = _require_unit(z)
-    return z * lerch_phi_unit(z, tol)
-
-
 def dilog_identity_residual(zeta: complex, tol: float = 1e-12) -> float:
     """|Li2(z) + Li2(1/z) + pi^2/6 + log(-z)^2 / 2| at unit-modulus z != 1.
 
@@ -79,14 +73,15 @@ def dilog_identity_residual(zeta: complex, tol: float = 1e-12) -> float:
     zeta = _require_unit(zeta)
     if abs(zeta - 1.0) <= _UNIT_TOL:
         raise ValueError("zeta = 1 is excluded")
-    lhs = dilog_unit(zeta, tol) + dilog_unit(1.0 / zeta, tol)
+    # Li_2(z) = z * Phi(z, 2, 1) on the unit circle
+    lhs = sum(z * lerch_phi_unit(z, tol) for z in map(_require_unit, (zeta, 1.0 / zeta)))
     log_neg = cmath.log(-zeta)
     rhs = -math.pi**2 / 6 - 0.5 * log_neg * log_neg
     return abs(lhs - rhs)
 
 
 # ---------------------------------------------------------------------------
-# direct product evaluation and the major-arc form
+# direct product evaluation
 
 
 def f1_truncated_product(zeta: complex, z: complex, cutoff: float = 1e-16) -> complex:
@@ -102,15 +97,6 @@ def f1_truncated_product(zeta: complex, z: complex, cutoff: float = 1e-16) -> co
         qn *= q
         out *= 1.0 - zeta * qn
     return out
-
-
-def f1_major_arc(zeta: complex, z: complex, tol: float = 1e-12) -> complex:
-    """Leading small-z form (1 - zeta)^(-1/2) exp(-zeta Phi(zeta,2,1) / z)."""
-    zeta = _require_unit(zeta)
-    if abs(zeta - 1.0) <= _UNIT_TOL:
-        raise ValueError("zeta = 1 is excluded")
-    phi = lerch_phi_unit(zeta, tol)
-    return cmath.exp(-zeta * phi / z) / cmath.sqrt(1.0 - zeta)
 
 
 def h_congruence_numeric(a: int, b: int, z: complex, j: int = 0, cutoff: float = 1e-16) -> complex:

@@ -3,14 +3,16 @@
 One CSV file per table: a magic line, a JSON meta line (kind, params, n_max,
 route, tool_version), a SHA-256 line over the data block, then ``n,value``
 rows with big integers as base-10 strings.  Writes are atomic
-(rename-on-write); a checksum or metadata mismatch, including a file written
-by another tool version, makes the loader return None so the caller
-recomputes -- corrupt or stale data is never served.
+(rename-on-write); a checksum or metadata mismatch, a meta line with a
+missing or wrongly typed field, or a file written by another tool version
+makes the loader return None so the caller recomputes -- corrupt or stale
+data is never served.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import tempfile
 from dataclasses import dataclass
@@ -22,6 +24,8 @@ from .reporting import json_text
 from .series import StatTable
 
 MAGIC = "# stattable-cache v1"
+_META = "# meta "
+_SHA = "# sha256 "
 
 
 class CacheWriteError(OSError):
@@ -40,32 +44,37 @@ class CacheEntry:
     tool_version: str
 
 
+def _parse_header(magic: str, meta_line: str, sha_line: str) -> tuple[dict, str] | None:
+    """(meta, checksum) from the first three lines of a cache file; None
+    unless every line has its prefix and the meta object has the fields and
+    types save_table writes (a bool is never a count)."""
+    if magic != MAGIC or not meta_line.startswith(_META) or not sha_line.startswith(_SHA):
+        return None
+    try:
+        meta = json.loads(meta_line[len(_META) :])
+    except (ValueError, RecursionError):  # RecursionError: nesting too deep
+        return None
+    if not isinstance(meta, dict) or not isinstance(meta.get("params"), dict):
+        return None
+    strings = [meta.get(k) for k in ("kind", "route", "tool_version")]
+    ints = [meta.get("n_max"), *meta["params"].values()]
+    if not all(type(v) is str for v in strings) or not all(type(v) is int for v in ints):
+        return None
+    return meta, sha_line[len(_SHA) :]
+
+
 def inspect_cache_file(path) -> CacheEntry | None:
     """Header-only view of a cache file; None if the header is unreadable."""
     path = Path(path)
     try:
         with path.open(encoding="ascii") as fh:
-            magic = fh.readline().rstrip("\n")
-            meta_line = fh.readline().rstrip("\n")
-            sha_line = fh.readline().rstrip("\n")
+            header = _parse_header(*(fh.readline().rstrip("\n") for _ in range(3)))
     except (OSError, UnicodeDecodeError):
         return None
-    if magic != MAGIC or not meta_line.startswith("# meta ") or not sha_line.startswith("# sha256 "):
+    if header is None:
         return None
-    import json as _json
-
-    try:
-        meta = _json.loads(meta_line[len("# meta ") :])
-    except ValueError:
-        return None
-    return CacheEntry(
-        path=path,
-        kind=meta.get("kind", ""),
-        params=dict(meta.get("params", {})),
-        n_max=int(meta.get("n_max", -1)),
-        checksum=sha_line[len("# sha256 ") :],
-        tool_version=str(meta.get("tool_version", "")),
-    )
+    meta, checksum = header
+    return CacheEntry(path, meta["kind"], meta["params"], meta["n_max"], checksum, meta["tool_version"])
 
 
 def cache_filename(kind: str, params: dict, n_max: int) -> str:
@@ -95,9 +104,11 @@ def save_table(directory, table: StatTable) -> Path:
     }
     content = (
         MAGIC
-        + "\n# meta "
+        + "\n"
+        + _META
         + json_text(meta)
-        + "\n# sha256 "
+        + "\n"
+        + _SHA
         + hashlib.sha256(data.encode("ascii")).hexdigest()
         + "\n"
         + data
@@ -121,24 +132,18 @@ def load_table(directory, kind: str, params: dict, n_max: int) -> StatTable | No
     except (OSError, UnicodeDecodeError):
         return None
     lines = content.split("\n", 3)
-    if len(lines) < 4 or lines[0] != MAGIC:
+    if len(lines) < 4:
         return None
-    if not lines[1].startswith("# meta ") or not lines[2].startswith("# sha256 "):
+    header = _parse_header(*lines[:3])
+    if header is None:
         return None
-    import json as _json
-
-    try:
-        meta = _json.loads(lines[1][len("# meta ") :])
-    except ValueError:
+    meta, checksum = header
+    if meta["kind"] != kind or meta["n_max"] != n_max or meta["params"] != dict(params):
         return None
-    if meta.get("kind") != kind or meta.get("n_max") != n_max:
-        return None
-    if meta.get("tool_version") != TOOL_VERSION:
-        return None
-    if {k: v for k, v in meta.get("params", {}).items()} != dict(params):
+    if meta["tool_version"] != TOOL_VERSION:
         return None
     data = lines[3]
-    if hashlib.sha256(data.encode("ascii")).hexdigest() != lines[2][len("# sha256 ") :]:
+    if hashlib.sha256(data.encode("ascii")).hexdigest() != checksum:
         return None
     rows = data.strip("\n").split("\n")
     if not rows or rows[0] != "n,value":
@@ -154,7 +159,7 @@ def load_table(directory, kind: str, params: dict, n_max: int) -> StatTable | No
         return None
     if len(values) != n_max + 1:
         return None
-    return StatTable(kind, dict(params), values, n_max, route=meta.get("route", ""))
+    return StatTable(kind, dict(params), values, n_max, route=meta["route"])
 
 
 def cache_roundtrip(table: StatTable, directory) -> StatTable:

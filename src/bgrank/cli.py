@@ -9,6 +9,7 @@ state; wall times go to stderr only.
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import os
 import sys
@@ -249,15 +250,15 @@ def cmd_jensen(args, ctx: RunContext) -> RunReport:
         )
         report.add_check("hermite-distance", True, f"max coefficient distance = {dist:.6f}")
     else:
-        jp = jensen_poly(seq, d, n)
-        rows = [{"k": k, "coefficient": c} for k, c in enumerate(jp.coeffs)]
+        coeffs = jensen_poly(seq, d, n)
+        rows = [{"k": k, "coefficient": c} for k, c in enumerate(coeffs)]
         report = RunReport(
             command="jensen",
             params={"d": d, "n": n, "renormalized": False},
             columns=("k", "coefficient"),
             rows=rows,
         )
-        report.add_check("hyperbolic", is_hyperbolic(jp), "exact Sturm certificate")
+        report.add_check("hyperbolic", is_hyperbolic(coeffs), "exact Sturm certificate")
     return report
 
 
@@ -340,7 +341,7 @@ def cmd_arcs(args, ctx: RunContext) -> RunReport:
 # validation suite
 
 
-def _validation_checks(ctx: RunContext):
+def _validation_checks():
     def roundtrip():
         for n in range(17):
             for p in enumerate_partitions(n):
@@ -407,8 +408,7 @@ def _validation_checks(ctx: RunContext):
         return True, "enumeration = character sum = bivariate sieve, n <= 16"
 
     def series_roundtrip():
-        s = euler_factor_product(24, step=2, power=2)
-        inv = series_invert(s)
+        inv = series_invert(euler_factor_product(24, step=2, power=2))
         p2 = p2_values(12)
         ok = all(inv[2 * m] == p2[m] for m in range(13)) and all(
             inv[2 * m + 1] == 0 for m in range(12)
@@ -420,8 +420,6 @@ def _validation_checks(ctx: RunContext):
         for b in range(2, 9):
             for k in range(1, b):
                 if math.gcd(k, b) == 1:
-                    import cmath
-
                     worst = max(worst, dilog_identity_residual(cmath.exp(2j * math.pi * k / b)))
         return worst <= 1e-10, f"max inversion-identity residual {worst:.2e}"
 
@@ -481,7 +479,7 @@ def _validation_checks(ctx: RunContext):
 
 def cmd_validate(args, ctx: RunContext) -> RunReport:
     rows = []
-    for name, fn in _validation_checks(ctx):
+    for name, fn in _validation_checks():
         ok, detail = fn()
         rows.append({"check": name, "passed": ok, "detail": detail})
     report = RunReport(
@@ -499,7 +497,7 @@ def cmd_validate(args, ctx: RunContext) -> RunReport:
 # full report
 
 
-def _report_jobs(ctx: RunContext):
+def _report_jobs():
     ns = argparse.Namespace
     return [
         ("table_p", cmd_table, ns(stat="p", j=None, a=None, b=None, n_max=200, out=None)),
@@ -521,7 +519,7 @@ def _report_jobs(ctx: RunContext):
 def cmd_report(args, ctx: RunContext) -> RunReport:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = [(name, fn(ns, ctx)) for name, fn, ns in _report_jobs(ctx)]
+    results = [(name, fn(ns, ctx)) for name, fn, ns in _report_jobs()]
     rows = []
     for name, rep in results:
         (out_dir / f"{name}.csv").write_text(rep.to_csv_text(), encoding="ascii")

@@ -1,5 +1,8 @@
-"""Exact combinatorics of integer partitions: conjugation, hook lengths,
-cores/quotients, and the two alternating-parity rank statistics.
+"""Exact combinatorics of integer partitions: conjugation, hook lengths (a
+tuple of rows, one per part), t-cores and t-quotients
+(``littlewood_decompose`` and its inverse ``littlewood_compose``), and the
+two alternating-parity rank statistics; the 2-quotient rank reads the
+components of ``littlewood_decompose(p, 2)``.
 
 Beta-set convention used by the core/quotient maps: a partition padded to
 ``s`` parts (``s`` a multiple of ``t``, zero parts allowed) is encoded as the
@@ -14,7 +17,6 @@ module is calibrated against.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -72,35 +74,22 @@ def conjugate(p: Partition) -> Partition:
     return Partition(cols)
 
 
-@dataclass(frozen=True)
-class HookTable:
-    """Hook lengths h(k, j) = (row_k - j) + (col_j - k) + 1, one per node."""
-
-    lengths: tuple[tuple[int, ...], ...]
-
-    def flat(self) -> Iterator[int]:
-        return itertools.chain.from_iterable(self.lengths)
-
-    def any_divisible_by(self, t: int) -> bool:
-        return any(h % t == 0 for h in self.flat())
-
-
-def hook_lengths(p: Partition) -> HookTable:
+def hook_lengths(p: Partition) -> tuple[tuple[int, ...], ...]:
+    """Hook lengths h(k, j) = (row_k - j) + (col_j - k) + 1, one row per part."""
     parts = p.parts
     conj = conjugate(p).parts
-    rows = tuple(
+    # row index k is 0-based, so (row_k - j) + (col_j - (k+1)) + 1 = parts[k] - j + conj[j-1] - k
+    return tuple(
         tuple(parts[k] - j + conj[j - 1] - k for j in range(1, parts[k] + 1))
         for k in range(len(parts))
     )
-    # row index k above is 0-based, so (row_k - j) + (col_j - (k+1)) + 1 = parts[k] - j + conj[j-1] - k
-    return HookTable(rows)
 
 
 def is_t_core(p: Partition, t: int) -> bool:
     """True iff no hook length of p is divisible by t (t >= 2)."""
     if t < 2:
         raise ValueError(f"t must be >= 2, got {t}")
-    return not hook_lengths(p).any_divisible_by(t)
+    return not any(h % t == 0 for row in hook_lengths(p) for h in row)
 
 
 def beta_numbers(p: Partition, slots: int) -> list[int]:
@@ -160,18 +149,6 @@ def littlewood_compose(core: Partition, quotients: Sequence[Partition], t: int) 
     return _partition_from_beta(beta)
 
 
-@dataclass(frozen=True)
-class TwoQuotientDecomposition:
-    core: Partition
-    q0: Partition
-    q1: Partition
-
-
-def two_quotient(p: Partition) -> TwoQuotientDecomposition:
-    core, (q0, q1) = littlewood_decompose(p, 2)
-    return TwoQuotientDecomposition(core, q0, q1)
-
-
 def bg_rank(p: Partition) -> int:
     """Alternating sum of part parities: +par(part_1) - par(part_2) + ..."""
     r = 0
@@ -183,8 +160,8 @@ def bg_rank(p: Partition) -> int:
 
 def two_quotient_rank(p: Partition) -> int:
     """Difference of part counts of the two quotient components, len(q0) - len(q1)."""
-    d = two_quotient(p)
-    return len(d.q0.parts) - len(d.q1.parts)
+    _, (q0, q1) = littlewood_decompose(p, 2)
+    return len(q0.parts) - len(q1.parts)
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:

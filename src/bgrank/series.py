@@ -6,7 +6,7 @@ Three independent exact routes to the same counts live here:
   pair counts p2 = coefficients of 1/(q;q)_oo^2; p and p2 are each one
   sparse division by (q;q)_oo (Euler's pentagonal number theorem), so
   p2 = (1/(q;q)_oo) / (q;q)_oo costs O(N^1.5) additions;
-* ``pbar_abn_table`` -- counts refined by quotient rank mod b, summed from
+* ``pbar_abn_values`` -- counts refined by quotient rank mod b, summed from
   the crank generating function (Andrews-Garvan 1988): the coefficient of
   z^m in 1/((zQ;Q)_oo (z^-1 Q;Q)_oo) is
   (1/(Q;Q)_oo^2) sum_{k>=1} (-1)^(k-1) Q^(k(k-1)/2 + k|m|) (1 - Q^k),
@@ -15,7 +15,10 @@ Three independent exact routes to the same counts live here:
 * ``joint_table`` -- the full bivariate (rank, size) table, by in-place
   division over Z[z, z^-1] by each factor of the product.
 
-All coefficients are arbitrary-precision integers; floats never enter.
+``series_invert`` and ``euler_factor_product`` are the O(N^2) schoolbook
+oracle behind the validation suite's series-inverse check.  Series are plain
+coefficient lists, low degree first; all coefficients are arbitrary-precision
+integers and floats never enter.
 """
 
 from __future__ import annotations
@@ -36,90 +39,6 @@ _P2: list[int] = [1]
 
 class OrthogonalityError(ArithmeticError):
     """Residue-class counts do not sum to the rank count; indicates a bug."""
-
-
-# ---------------------------------------------------------------------------
-# truncated integer power series
-
-
-class IntSeries:
-    """Power series over Z truncated at q^truncation inclusive."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence[int], truncation: int | None = None):
-        cs = [operator.index(c) for c in coeffs]
-        if truncation is not None:
-            if truncation < 0:
-                raise ValueError("truncation must be >= 0")
-            cs = cs[: truncation + 1] + [0] * (truncation + 1 - len(cs))
-        if not cs:
-            cs = [0]
-        self.coeffs = cs
-
-    @property
-    def truncation(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, n: int) -> int:
-        return self.coeffs[n]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntSeries) and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        head = ", ".join(str(c) for c in self.coeffs[:8])
-        tail = ", ..." if len(self.coeffs) > 8 else ""
-        return f"IntSeries([{head}{tail}], truncation={self.truncation})"
-
-    def truncate(self, n: int) -> "IntSeries":
-        return IntSeries(self.coeffs, truncation=n)
-
-    def _binop(self, other, op):
-        n = min(self.truncation, other.truncation)
-        return IntSeries([op(a, b) for a, b in zip(self.coeffs, other.coeffs)], truncation=n)
-
-    def __add__(self, other):
-        return self._binop(other, operator.add)
-
-    def __sub__(self, other):
-        return self._binop(other, operator.sub)
-
-    def __mul__(self, other):
-        n = min(self.truncation, other.truncation)
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (n + 1)
-        for i, ai in enumerate(a[: n + 1]):
-            if ai:
-                for k in range(n - i + 1):
-                    out[i + k] += ai * b[k]
-        return IntSeries(out)
-
-
-def series_invert(s: IntSeries) -> IntSeries:
-    """Multiplicative inverse up to the truncation; constant term must be +-1."""
-    a = s.coeffs
-    if a[0] not in (1, -1):
-        raise ValueError("constant term must be a unit (+1 or -1)")
-    n_max = s.truncation
-    inv = [a[0]] + [0] * n_max
-    for n in range(1, n_max + 1):
-        acc = sum(map(operator.mul, a[1 : n + 1], reversed(inv[:n])))
-        inv[n] = -a[0] * acc
-    return IntSeries(inv)
-
-
-def euler_factor_product(n_max: int, step: int = 1, power: int = 1) -> IntSeries:
-    """Truncation of prod_{i>=1} (1 - q^(step*i))^power."""
-    if step < 1 or power < 0:
-        raise ValueError("step must be >= 1 and power >= 0")
-    out = [0] * (n_max + 1)
-    out[0] = 1
-    for _ in range(power):
-        for i in range(step, n_max + 1, step):
-            for n in range(n_max, i - 1, -1):
-                out[n] -= out[n - i]
-    return IntSeries(out)
 
 
 # ---------------------------------------------------------------------------
@@ -180,11 +99,6 @@ def p2_values(n_max: int) -> list[int]:
         return _P2[: n_max + 1]
 
 
-def _p2_at(m: int) -> int:
-    _grow_p2(m)
-    return _P2[m]
-
-
 @dataclass
 class StatTable:
     """A cached integer table with enough metadata to identify how it was built."""
@@ -200,9 +114,6 @@ class StatTable:
             raise ValueError("values must have length n_max + 1")
         if any(v < 0 for v in self.values):
             raise ValueError("tables hold counts; negative value found")
-
-    def __getitem__(self, n: int) -> int:
-        return self.values[n]
 
 
 def p_table(n_max: int) -> StatTable:
@@ -226,7 +137,9 @@ def pbar_eta(j: int, n: int) -> int:
     shift = bg_core_size(j)
     if n < shift or (n - shift) % 2:
         return 0
-    return _p2_at((n - shift) // 2)
+    m = (n - shift) // 2
+    _grow_p2(m)
+    return _P2[m]
 
 
 def pbar_values(j: int, n_max: int) -> list[int]:
@@ -296,8 +209,10 @@ def _residue_rows(b: int, nq: int) -> tuple[list[int], ...]:
     return rows
 
 
-def _pbar_abn_cached(j: int, b: int, n_max: int) -> list[list[int]]:
+def pbar_abn_values(j: int, b: int, n_max: int) -> list[list[int]]:
     """For each residue a, counts of size 0..n_max with rank j and quotient rank = a mod b."""
+    if b < 2:
+        raise ValueError("b must be >= 2")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     shift = bg_core_size(j)
@@ -318,23 +233,13 @@ def _pbar_abn_cached(j: int, b: int, n_max: int) -> list[list[int]]:
     return tables
 
 
-def pbar_abn_values(j: int, b: int, n_max: int) -> list[list[int]]:
-    """For each residue a, counts with rank j and quotient rank = a mod b."""
-    if b < 2:
-        raise ValueError("b must be >= 2")
-    return _pbar_abn_cached(j, b, n_max)
-
-
 def pbar_abn_table(j: int, a: int, b: int, n_max: int) -> StatTable:
-    if b < 2:
-        raise ValueError("b must be >= 2")
     if not 0 <= a < b:
         raise ValueError("a must lie in [0, b)")
-    values = _pbar_abn_cached(j, b, n_max)[a]
     return StatTable(
         "pbar_jab",
         {"j": j, "a": a, "b": b},
-        values,
+        pbar_abn_values(j, b, n_max)[a],
         n_max,
         # the label of the former character-sum route (now crank sums), kept
         # so that report files and cache headers stay byte-identical
@@ -398,3 +303,31 @@ def joint_table(j: int, n_max: int) -> BivariateSeries:
     for m, row in enumerate(f):
         coeffs[2 * m + shift] = row
     return BivariateSeries(coeffs)
+
+
+# ---------------------------------------------------------------------------
+# O(N^2) oracle for the validation suite
+
+
+def series_invert(a: Sequence[int]) -> list[int]:
+    """Coefficients of 1/A through the degree of ``a``; a[0] must be +-1."""
+    if not a or a[0] not in (1, -1):
+        raise ValueError("constant term must be a unit (+1 or -1)")
+    inv = [a[0]] + [0] * (len(a) - 1)
+    for n in range(1, len(a)):
+        acc = sum(map(operator.mul, a[1 : n + 1], reversed(inv[:n])))
+        inv[n] = -a[0] * acc
+    return inv
+
+
+def euler_factor_product(n_max: int, step: int = 1, power: int = 1) -> list[int]:
+    """Coefficients of prod_{i>=1} (1 - q^(step*i))^power through q^n_max."""
+    if step < 1 or power < 0:
+        raise ValueError("step must be >= 1 and power >= 0")
+    out = [0] * (n_max + 1)
+    out[0] = 1
+    for _ in range(power):
+        for i in range(step, n_max + 1, step):
+            for n in range(n_max, i - 1, -1):
+                out[n] -= out[n - i]
+    return out

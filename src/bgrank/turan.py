@@ -147,29 +147,20 @@ def _real_roots_with_multiplicity(p: list[int]) -> int:
 # Jensen polynomials
 
 
-@dataclass(frozen=True)
-class JensenPoly:
-    """Degree-d polynomial with exact coefficients binom(d,k) * alpha(n+k)."""
-
-    d: int
-    n: int
-    coeffs: tuple[int, ...]
-
-
-def jensen_poly(seq: Sequence[int], d: int, n: int) -> JensenPoly:
+def jensen_poly(seq: Sequence[int], d: int, n: int) -> tuple[int, ...]:
+    """Coefficients binom(d, k) * alpha(n + k), k = 0..d, of the degree-d
+    Jensen polynomial at shift n."""
     if d < 1:
         raise ValueError("d must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
     if n + d >= len(seq):
         raise ValueError(f"sequence must be defined on [{n}, {n + d}]")
-    coeffs = tuple(math.comb(d, k) * seq[n + k] for k in range(d + 1))
-    return JensenPoly(d=d, n=n, coeffs=coeffs)
+    return tuple(math.comb(d, k) * seq[n + k] for k in range(d + 1))
 
 
-def is_hyperbolic(poly) -> bool:
+def is_hyperbolic(coeffs: Sequence) -> bool:
     """True iff every root is real (counted with multiplicity); exact."""
-    coeffs = poly.coeffs if isinstance(poly, JensenPoly) else poly
     p = _to_ints(coeffs)
     if not p:
         raise ValueError("zero polynomial")
@@ -192,19 +183,6 @@ class RenormSeq:
             raise ValueError("delta must be positive")
 
 
-def renorm_sequences(n: int) -> RenormSeq:
-    """Leading-order pair A(n) = pi sqrt(1/(6n)), delta(n)^2 = pi sqrt(2/3)/8 * n^{-3/2}.
-
-    delta is the positive square root of the magnitude of the quadratic
-    log-ratio coefficient.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    a = math.pi * math.sqrt(1.0 / (6 * n))
-    delta = math.sqrt(math.pi * math.sqrt(2.0 / 3.0) / 8.0) * n**-0.75
-    return RenormSeq(A_of_n=a, delta_of_n=delta)
-
-
 def wright_renorm_pair(growth: float, power: float, m: int) -> RenormSeq:
     """Recentring pair for log alpha(m) ~ 2 sqrt(growth * m) + power * log m + C:
     first and (negated half) second log-derivatives at m."""
@@ -223,9 +201,10 @@ def renorm_sequences_step2(n: int) -> RenormSeq:
     """Pair matched to reading a two-arc Wright-shaped count at every second
     argument: growth pi^2/3 and power -5/4 in the halved variable.
 
-    Equivalently 2*A(2n) and 2*delta(2n) from renorm_sequences, with the
-    exact 1/n correction coming from the n^{-5/4} prefactor folded in; the
-    correction is what makes desk-scale Hermite convergence visible.
+    Equivalently 2*A(2n) and 2*delta(2n) from the leading-order pair
+    wright_renorm_pair(pi^2/6, 0, 2n), with the exact 1/n correction coming
+    from the n^{-5/4} prefactor folded in; the correction is what makes
+    desk-scale Hermite convergence visible.
     """
     return wright_renorm_pair(math.pi**2 / 3.0, -1.25, n)
 
@@ -234,22 +213,29 @@ def renormalized_jensen(seq: Sequence[int], d: int, n: int, rs: RenormSeq) -> li
     """Coefficients (low -> high) of delta^{-d}/alpha(n) * J((delta X - 1)/e^A).
 
     The integer Jensen coefficients are divided by alpha(n) exactly and only
-    then rounded; the composition itself is floating point.
+    then rounded; the composition itself is floating point, and a ValueError
+    naming d and n is raised when it leaves the float64 range.
     """
-    jp = jensen_poly(seq, d, n)
+    coeffs = jensen_poly(seq, d, n)
     window = seq[n : n + d + 1]
     if any(v <= 0 for v in window):
         raise ValueError("sequence must be positive on [n, n+d]")
     alpha0 = seq[n]
     e_a = math.exp(rs.A_of_n)
     delta = rs.delta_of_n
-    weights = [float(Fraction(c, alpha0)) * e_a**-k for k, c in enumerate(jp.coeffs)]
+    overflow = f"renormalized Jensen polynomial at d = {d}, n = {n} overflows float64"
     out = []
-    for i in range(d + 1):
-        s = 0.0
-        for k in range(i, d + 1):
-            s += weights[k] * math.comb(k, i) * (-1) ** (k - i)
-        out.append(s * delta ** (i - d))
+    try:
+        weights = [float(Fraction(c, alpha0)) * e_a**-k for k, c in enumerate(coeffs)]
+        for i in range(d + 1):
+            s = 0.0
+            for k in range(i, d + 1):
+                s += weights[k] * math.comb(k, i) * (-1) ** (k - i)
+            out.append(s * delta ** (i - d))
+    except OverflowError as exc:
+        raise ValueError(overflow) from exc
+    if not all(map(math.isfinite, out)):
+        raise ValueError(overflow)
     return out
 
 
@@ -291,7 +277,6 @@ class TuranReport:
     holds: bool
     failures: tuple
     equalities: tuple
-    first_failure: object = None
 
 
 def turan_report(seq: Sequence[int], order, index_range: tuple[int, int]) -> TuranReport:
@@ -351,7 +336,6 @@ def turan_report(seq: Sequence[int], order, index_range: tuple[int, int]) -> Tur
         holds=not failures,
         failures=tuple(failures),
         equalities=tuple(equalities),
-        first_failure=failures[0] if failures else None,
     )
 
 

@@ -1,14 +1,18 @@
 """Cache integrity, deterministic serialization, and the CLI surface."""
 
+import hashlib
 import json
 import threading
+from pathlib import Path
 
 import pytest
 
+from bgrank._meta import TOOL_VERSION
 from bgrank.cache import (
     cache_filename,
     cache_roundtrip,
     get_table,
+    inspect_cache_file,
     load_table,
     save_table,
 )
@@ -98,8 +102,6 @@ def test_cache_misses(tmp_path):
 
 
 def test_cache_rejects_other_tool_version(tmp_path):
-    from bgrank._meta import TOOL_VERSION
-
     path = save_table(tmp_path, p_table(30))
     magic, meta, rest = path.read_text(encoding="ascii").split("\n", 2)
     stamp = f'"tool_version":"{TOOL_VERSION}"'
@@ -109,9 +111,56 @@ def test_cache_rejects_other_tool_version(tmp_path):
     assert load_table(tmp_path, "p", {}, 30) is None
 
 
+def _meta(**changes):
+    """The meta object save_table writes for p_table(10), with fields changed
+    (None drops the field)."""
+    meta = {"kind": "p", "n_max": 10, "params": {}, "route": "pentagonal-recurrence", "tool_version": TOOL_VERSION}
+    meta.update(changes)
+    return {k: v for k, v in meta.items() if v is not None}
+
+
+@pytest.mark.parametrize(
+    "n_max, meta_line",
+    [
+        (10, "[1]"),
+        (10, json.dumps(_meta(params=[]))),
+        (10, json.dumps(_meta(params=5))),
+        (10, json.dumps(_meta(params={"j": "0"}))),
+        (10, json.dumps(_meta(n_max=10.0))),
+        (1, json.dumps(_meta(n_max=True))),
+        (10, json.dumps(_meta(kind=None))),
+        (10, json.dumps(_meta(route=5))),
+        (10, json.dumps(_meta(tool_version=None))),
+        (10, "[" * 100000 + "]" * 100000),
+    ],
+    ids=[
+        "list",
+        "params-list",
+        "params-int",
+        "params-str-value",
+        "n_max-float",
+        "n_max-bool",
+        "kind-missing",
+        "route-int",
+        "tool_version-missing",
+        "nested-too-deep",
+    ],
+)
+def test_cache_rejects_malformed_meta(tmp_path, n_max, meta_line):
+    table = p_table(n_max)
+    path = save_table(tmp_path, table)
+    magic, _, rest = path.read_text(encoding="ascii").split("\n", 2)
+    path.write_text(f"{magic}\n# meta {meta_line}\n{rest}", encoding="ascii")
+    assert load_table(tmp_path, "p", {}, n_max) is None
+    assert inspect_cache_file(path) is None
+    # get_table recomputes and repairs the file
+    rebuilt = get_table("p", {}, n_max, lambda: p_table(n_max), tmp_path)
+    assert rebuilt.values == table.values
+    assert load_table(tmp_path, "p", {}, n_max) is not None
+    assert inspect_cache_file(path) is not None
+
+
 def test_cache_inspect(tmp_path):
-    from bgrank._meta import TOOL_VERSION
-    from bgrank.cache import inspect_cache_file
     from bgrank.series import pbar_abn_table
 
     path = save_table(tmp_path, pbar_abn_table(0, 1, 5, 20))
@@ -263,3 +312,21 @@ def test_cli_jensen_renormalized(capsys):
     assert main(["--no-cache", "jensen", "--d", "2", "--n", "500", "--renormalized"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("k,coefficient,hermite\n")
+
+
+@pytest.mark.parametrize("d", ["400", "1100"])
+def test_cli_jensen_renormalized_overflow_is_argument_error(d, capsys):
+    assert main(["--no-cache", "jensen", "--d", d, "--n", "10", "--renormalized"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: renormalized Jensen polynomial at d = {d}, n = 10 overflows float64" in captured.err
+
+
+def test_report_bytes_match_benchmark_reference(tmp_path):
+    # the digest perfbench/workloads.py::digest_dir takes of the report directory
+    ref = json.loads((Path(__file__).parents[1] / "perfbench" / "reference.json").read_text())["report"]
+    assert main(["--no-cache", "report", "--out", str(tmp_path)]) == ref["exit"]
+    h = hashlib.sha256()
+    for f in sorted(tmp_path.iterdir()):
+        h.update(f.name.encode() + b"\0" + hashlib.sha256(f.read_bytes()).hexdigest().encode() + b"\n")
+    assert h.hexdigest() == ref["sha256"]

@@ -1,8 +1,12 @@
 """Jensen/Sturm/Hermite machinery: exact certificates and float limits."""
 
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +20,6 @@ from bgrank.turan import (
     is_hyperbolic,
     jensen_poly,
     real_root_count,
-    renorm_sequences,
     renorm_sequences_step2,
     renormalized_jensen,
     sturm_chain,
@@ -33,12 +36,9 @@ def p2_seq():
 
 
 def test_jensen_examples(p2_seq):
-    jp = jensen_poly(p2_seq, 1, 0)
-    assert jp.coeffs == (1, 2)
-    jp = jensen_poly(p2_seq, 2, 2)  # pair counts 5, 10, 20
-    assert jp.coeffs == (5, 20, 20)
-    jp = jensen_poly(p2_seq, 2, 0)
-    assert jp.coeffs == (1, 4, 5)
+    assert jensen_poly(p2_seq, 1, 0) == (1, 2)
+    assert jensen_poly(p2_seq, 2, 2) == (5, 20, 20)  # pair counts 5, 10, 20
+    assert jensen_poly(p2_seq, 2, 0) == (1, 4, 5)
     with pytest.raises(ValueError):
         jensen_poly([1, 2], 2, 1)
     with pytest.raises(ValueError):
@@ -141,25 +141,12 @@ def test_hermite_recurrence_and_hyperbolicity():
         assert is_hyperbolic(hermite(d))
 
 
-def test_renorm_sequences_values():
-    rs = renorm_sequences(6)
-    assert rs.A_of_n == pytest.approx(PI / 6, rel=1e-14)
-    for n in (10, 100, 1000):
-        rs = renorm_sequences(n)
-        assert rs.delta_of_n**2 * n**1.5 == pytest.approx(PI * math.sqrt(2 / 3) / 8, rel=1e-12)
-    pairs = [renorm_sequences(n) for n in (10, 20, 40)]
-    assert pairs[0].A_of_n > pairs[1].A_of_n > pairs[2].A_of_n > 0
-    assert pairs[0].delta_of_n > pairs[1].delta_of_n > pairs[2].delta_of_n > 0
-    with pytest.raises(ValueError):
-        renorm_sequences(0)
-    with pytest.raises(ValueError):
-        RenormSeq(1.0, 0.0)
-
-
 def test_step2_pair_consistency():
     # the step-2 pair is the doubled leading pair plus the exact 1/n correction
     for n in (100, 1000):
-        base = renorm_sequences(2 * n)
+        base = wright_renorm_pair(PI**2 / 6, 0.0, 2 * n)
+        assert base.A_of_n == pytest.approx(PI * math.sqrt(1 / (12 * n)), rel=1e-14)
+        assert base.delta_of_n**2 * (2 * n) ** 1.5 == pytest.approx(PI * math.sqrt(2 / 3) / 8, rel=1e-12)
         rs = renorm_sequences_step2(n)
         assert rs.A_of_n == pytest.approx(2 * base.A_of_n - 1.25 / n, rel=1e-12)
         assert rs.delta_of_n**2 == pytest.approx(4 * base.delta_of_n**2 - 0.625 / n**2, rel=1e-12)
@@ -167,6 +154,10 @@ def test_step2_pair_consistency():
         wright_renorm_pair(-1.0, 0.0, 10)
     with pytest.raises(ValueError):
         wright_renorm_pair(1e-9, -1.25, 10)  # quadratic coefficient goes negative
+    with pytest.raises(ValueError):
+        wright_renorm_pair(PI**2 / 6, 0.0, 0)
+    with pytest.raises(ValueError):
+        RenormSeq(1.0, 0.0)
 
 
 def test_renormalized_degree1_approaches_identity(p2_seq):
@@ -177,7 +168,7 @@ def test_renormalized_degree1_approaches_identity(p2_seq):
 
 def test_renormalized_rejects_nonpositive():
     with pytest.raises(ValueError):
-        renormalized_jensen([1, 0, 2], 2, 0, renorm_sequences(5))
+        renormalized_jensen([1, 0, 2], 2, 0, renorm_sequences_step2(5))
 
 
 def test_renormalized_leading_coefficient_tends_to_one(p2_big):
@@ -195,7 +186,6 @@ def test_turan_order2_pattern(p2_seq):
     # genuine exceptional set: 2^2 < 1*5 at m=1 and 36^2 = 1296 < 20*65 = 1300 at m=5
     assert rep.failures == (1, 5)
     assert rep.equalities == (3,)  # 10^2 = 5*20
-    assert rep.first_failure == 1
     assert not rep.holds
     rep = turan_report(p2_seq, "2", (6, 500))
     assert rep.holds
@@ -265,3 +255,22 @@ def test_hyperbolicity_onset_window_validation(p2_seq):
         hyperbolicity_onset(p2_seq, 2, 10, -1)
     with pytest.raises(ValueError):
         hyperbolicity_onset(p2_seq, 2, 100, -1)
+
+
+def test_onset_script(tmp_path):
+    root = Path(__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, str(root / "scripts" / "hyperbolicity_onset.py"), "--max-degree", "3", "--hi", "60"],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+        timeout=60,
+        check=True,
+    ).stdout.splitlines()
+    assert out == [
+        "d=2: hyperbolic for every m in [5, 60]; failures below: [0, 4]",
+        "d=3: hyperbolic for every m in [24, 60]; failures below: "
+        "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 19, 21, 23]",
+    ]
