@@ -4,8 +4,10 @@
 circle-method coefficient asymptotics, and Jensen/Hermite convergence checks
 with exact hyperbolicity certificates.
 
-Series, Jensen coefficients and hook lengths are plain lists and tuples;
-the O(N^2) series oracle behind ``bgrank validate`` is not exported."""
+Series, Jensen coefficients, Sturm chains and hook lengths are plain lists
+and tuples; the O(N^2) series oracle behind ``bgrank validate`` is not
+exported.  Every experiment, the onset atlas included, is a ``bgrank``
+subcommand (``bgrank.cli``)."""
 
 from ._meta import TOOL_VERSION as __version__
 from .partitions import (
@@ -41,21 +43,18 @@ from .series import (
 from .asymptotics import (
     ArcDominanceReport,
     HR_PARAMS,
-    MainTermResult,
     WrightParams,
     arc_dominance_check,
     dilog_identity_residual,
     f1_truncated_product,
     h_congruence_numeric,
     lerch_phi_unit,
-    main_term,
     rank_count_params,
     wright_asymptotic,
     wright_coefficient,
 )
 from .turan import (
     RenormSeq,
-    SturmChain,
     TuranReport,
     hermite,
     hermite_distance,
@@ -69,5 +68,5 @@ from .turan import (
     turan_report,
     wright_renorm_pair,
 )
-from .cache import cache_roundtrip, get_table, load_table, save_table
+from .cache import get_table, load_table, save_table
 from .reporting import RunReport

@@ -3,8 +3,9 @@
 Covers values of the Lerch sum Phi(z,2,1) on the unit circle, direct
 evaluation of the q-Pochhammer factor and of the congruence-class generating
 function, circle-method coefficient expansions in Wright's normal form
-z^B e^(A/z), the closed-form leading main term for the rank counts, and
-numeric checks that the near-(+/-1) arcs dominate sampled off-axis points.
+z^B e^(A/z), and numeric checks that the near-(+/-1) arcs dominate sampled
+off-axis points.  The leading constant of the rank counts is fitted against
+the exact tables by ``bgrank asympt``, not restated here.
 
 Everything here works in 64-bit binary floating point; the exact-arithmetic
 counterparts live in the series module.
@@ -194,43 +195,6 @@ def rank_count_params(b: int = 1) -> WrightParams:
 
 
 # ---------------------------------------------------------------------------
-# closed-form leading main term
-
-
-_MAIN_CONST = 2.0 / (3.0**0.75 * 2.0**1.25)
-
-
-@dataclass(frozen=True)
-class MainTermResult:
-    """value == constant * n**-1.25 * exp(exponent_arg), bit for bit."""
-
-    value: float
-    n: int
-    constant: float
-    exponent_arg: float
-
-
-def main_term(n: int, b: int = 1, mode: str = "classes") -> MainTermResult:
-    """Leading-order count 2 / (3^{3/4} (2n)^{5/4} b) * e^{pi sqrt(2n/3)}.
-
-    mode "classes" divides among the b residue classes; mode "total" is the
-    b = 1 specialization for the undivided rank count.
-    """
-    if n < 2 or n % 2:
-        raise ValueError("n must be even and >= 2")
-    if mode not in ("classes", "total"):
-        raise ValueError("mode must be 'classes' or 'total'")
-    if mode == "total":
-        b = 1
-    if b < 1:
-        raise ValueError("b must be >= 1")
-    exponent_arg = math.pi * math.sqrt(2.0 * n / 3.0)
-    constant = _MAIN_CONST / b
-    value = constant * n**-1.25 * math.exp(exponent_arg)
-    return MainTermResult(value=value, n=n, constant=constant, exponent_arg=exponent_arg)
-
-
-# ---------------------------------------------------------------------------
 # arc dominance report
 
 
@@ -246,19 +210,14 @@ class ArcSample:
     a: int
     slope: int
     x: float
-    minor_mag: float
-    major_mag: float
     ratio: float
     ok: bool
 
 
 @dataclass(frozen=True)
 class ArcDominanceReport:
-    b: int
-    j: int
     arg_checks: tuple[ArgInequalityCheck, ...]
     samples: tuple[ArcSample, ...]
-    all_ok: bool
 
 
 def minus_root_angle_over_pi(b: int, k: int) -> Fraction:
@@ -298,8 +257,5 @@ def arc_dominance_check(
                 minor = abs(h_congruence_numeric(a, b, z_minor, j))
                 major = abs(h_congruence_numeric(a, b, z_major, j))
                 ratio = minor / major
-                samples.append(
-                    ArcSample(a=a, slope=slope, x=x, minor_mag=minor, major_mag=major, ratio=ratio, ok=ratio < 1.0)
-                )
-    all_ok = all(c.holds for c in arg_checks) and all(s.ok for s in samples)
-    return ArcDominanceReport(b=b, j=j, arg_checks=tuple(arg_checks), samples=tuple(samples), all_ok=all_ok)
+                samples.append(ArcSample(a=a, slope=slope, x=x, ratio=ratio, ok=ratio < 1.0))
+    return ArcDominanceReport(arg_checks=tuple(arg_checks), samples=tuple(samples))

@@ -11,6 +11,7 @@ data is never served.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -114,12 +115,16 @@ def save_table(directory, table: StatTable) -> Path:
         + data
     )
     path = directory / cache_filename(table.kind, table.params, table.n_max)
+    tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=path.name, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="ascii", newline="") as fh:
             fh.write(content)
         os.replace(tmp, path)
     except OSError as exc:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
         raise CacheWriteError(f"cannot write cache file {path}: {exc}") from exc
     return path
 
@@ -160,15 +165,6 @@ def load_table(directory, kind: str, params: dict, n_max: int) -> StatTable | No
     if len(values) != n_max + 1:
         return None
     return StatTable(kind, dict(params), values, n_max, route=meta["route"])
-
-
-def cache_roundtrip(table: StatTable, directory) -> StatTable:
-    """Write then read back; raises if the read does not verify."""
-    save_table(directory, table)
-    loaded = load_table(directory, table.kind, table.params, table.n_max)
-    if loaded is None:
-        raise CacheWriteError("table failed to verify immediately after writing")
-    return loaded
 
 
 def get_table(

@@ -14,7 +14,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -52,6 +51,7 @@ from .series import (
 from .turan import (
     hermite,
     hermite_distance,
+    hyperbolicity_onset,
     is_hyperbolic,
     jensen_poly,
     renorm_sequences_step2,
@@ -63,12 +63,6 @@ CACHE_ENV = "BGRANK_CACHE_DIR"
 
 CANDIDATE_DIRECT = 6.0**-0.75
 CANDIDATE_PRINTED = math.sqrt(2.0) * 6.0**-0.75
-
-
-@dataclass
-class RunContext:
-    cache_dir: Path | None
-    fmt: str
 
 
 def _resolve_cache_dir(args) -> Path | None:
@@ -88,18 +82,18 @@ def _resolve_cache_dir(args) -> Path | None:
 # subcommands
 
 
-def cmd_table(args, ctx: RunContext) -> RunReport:
+def cmd_table(args) -> RunReport:
     stat = args.stat
     n_max = args.n_max
     if stat == "p":
-        table = cache.get_table("p", {}, n_max, lambda: p_table(n_max), ctx.cache_dir)
+        table = cache.get_table("p", {}, n_max, lambda: p_table(n_max), args.cache_dir)
     elif stat == "p2":
-        table = cache.get_table("p2", {}, n_max, lambda: p2_table(n_max), ctx.cache_dir)
+        table = cache.get_table("p2", {}, n_max, lambda: p2_table(n_max), args.cache_dir)
     elif stat == "pbar":
         if args.j is None:
             raise ValueError("--stat pbar requires --j")
         table = cache.get_table(
-            "pbar_j", {"j": args.j}, n_max, lambda: pbar_table(args.j, n_max), ctx.cache_dir
+            "pbar_j", {"j": args.j}, n_max, lambda: pbar_table(args.j, n_max), args.cache_dir
         )
     else:  # pbar-ab
         if args.j is None or args.a is None or args.b is None:
@@ -110,7 +104,7 @@ def cmd_table(args, ctx: RunContext) -> RunReport:
             params,
             n_max,
             lambda: pbar_abn_table(args.j, args.a, args.b, n_max),
-            ctx.cache_dir,
+            args.cache_dir,
         )
     report = RunReport(
         command="table",
@@ -122,7 +116,7 @@ def cmd_table(args, ctx: RunContext) -> RunReport:
     return report
 
 
-def cmd_joint(args, ctx: RunContext) -> RunReport:
+def cmd_joint(args) -> RunReport:
     biv = joint_table(args.j, args.n_max)
     rows = []
     for n in range(biv.truncation + 1):
@@ -147,7 +141,7 @@ def cmd_joint(args, ctx: RunContext) -> RunReport:
     return report
 
 
-def cmd_equidist(args, ctx: RunContext) -> RunReport:
+def cmd_equidist(args) -> RunReport:
     j, b, n = args.j, args.b, args.n
     tables = pbar_abn_values(j, b, n)
     total = pbar_eta(j, n)
@@ -176,7 +170,7 @@ def cmd_equidist(args, ctx: RunContext) -> RunReport:
     return report
 
 
-def cmd_asympt(args, ctx: RunContext) -> RunReport:
+def cmd_asympt(args) -> RunReport:
     n_list = args.n_list
     b = args.b
     rows = []
@@ -231,7 +225,7 @@ def cmd_asympt(args, ctx: RunContext) -> RunReport:
     return report
 
 
-def cmd_jensen(args, ctx: RunContext) -> RunReport:
+def cmd_jensen(args) -> RunReport:
     d, n = args.d, args.n
     seq = p2_values(n + d + 1)
     if args.renormalized:
@@ -262,7 +256,7 @@ def cmd_jensen(args, ctx: RunContext) -> RunReport:
     return report
 
 
-def cmd_turan(args, ctx: RunContext) -> RunReport:
+def cmd_turan(args) -> RunReport:
     lo, hi = args.range
     order = args.order
     if order == "convexity":
@@ -299,7 +293,28 @@ def cmd_turan(args, ctx: RunContext) -> RunReport:
     return report
 
 
-def cmd_arcs(args, ctx: RunContext) -> RunReport:
+def cmd_onset(args) -> RunReport:
+    max_d, hi = args.max_degree, args.hi
+    if max_d < 2 or hi < 0:
+        raise ValueError("onset needs --max-degree >= 2 and --hi >= 0")
+    seq = p2_values(hi + max_d + 1)
+    rows = []
+    for d in range(2, max_d + 1):
+        m0 = hyperbolicity_onset(seq, d, hi)
+        below = None if m0 is None else [m for m in range(m0) if not is_hyperbolic(jensen_poly(seq, d, m))]
+        rows.append({"d": d, "onset": m0, "failures_below": below})
+    report = RunReport(
+        command="onset",
+        params={"max_degree": max_d, "hi": hi},
+        columns=("d", "onset", "failures_below"),
+        rows=rows,
+    )
+    missing = [r["d"] for r in rows if r["onset"] is None]
+    report.add_check("onset-found", not missing, f"degrees with no stable onset by m = {hi}: {missing}")
+    return report
+
+
+def cmd_arcs(args) -> RunReport:
     rep = arc_dominance_check(args.b)
     rows = []
     for c in rep.arg_checks:
@@ -450,10 +465,10 @@ def _validation_checks():
 
         with tempfile.TemporaryDirectory() as tmp:
             table = p_table(64)
-            back = cache.cache_roundtrip(table, tmp)
-            if back.values != table.values:
-                return False, "cache round trip changed values"
             path = cache.save_table(tmp, table)
+            back = cache.load_table(tmp, "p", {}, 64)
+            if back is None or back.values != table.values:
+                return False, "cache round trip changed values"
             raw = bytearray(path.read_bytes())
             raw[-2] ^= 0x01
             path.write_bytes(bytes(raw))
@@ -477,7 +492,7 @@ def _validation_checks():
     ]
 
 
-def cmd_validate(args, ctx: RunContext) -> RunReport:
+def cmd_validate(args) -> RunReport:
     rows = []
     for name, fn in _validation_checks():
         ok, detail = fn()
@@ -497,53 +512,51 @@ def cmd_validate(args, ctx: RunContext) -> RunReport:
 # full report
 
 
-def _report_jobs():
-    ns = argparse.Namespace
-    return [
-        ("table_p", cmd_table, ns(stat="p", j=None, a=None, b=None, n_max=200, out=None)),
-        ("table_p2", cmd_table, ns(stat="p2", j=None, a=None, b=None, n_max=200, out=None)),
-        ("table_pbar_j0", cmd_table, ns(stat="pbar", j=0, a=None, b=None, n_max=200, out=None)),
-        ("table_pbar_ab", cmd_table, ns(stat="pbar-ab", j=0, a=1, b=5, n_max=60, out=None)),
-        ("joint_j0", cmd_joint, ns(j=0, n_max=40, out=None)),
-        ("equidist_b5", cmd_equidist, ns(j=0, b=5, n=1000, out=None)),
-        ("asympt", cmd_asympt, ns(n_list=(1000, 2000, 4000, 8000), b=1, out=None)),
-        ("jensen_d3", cmd_jensen, ns(d=3, n=1000, renormalized=True, out=None)),
-        # the order-2 scan starts at the measured onset: m = 5 is a genuine failure
-        ("turan_order2", cmd_turan, ns(order="2", range=(6, 300), out=None)),
-        ("turan_convexity", cmd_turan, ns(order="convexity", range=(2, 80), out=None)),
-        ("arcs_b5", cmd_arcs, ns(b=5, out=None)),
-        ("validate", cmd_validate, ns(out=None)),
-    ]
+_REPORT_JOBS = (
+    ("table_p", "table --stat p --n-max 200"),
+    ("table_p2", "table --stat p2 --n-max 200"),
+    ("table_pbar_j0", "table --stat pbar --j 0 --n-max 200"),
+    ("table_pbar_ab", "table --stat pbar-ab --j 0 --a 1 --b 5 --n-max 60"),
+    ("joint_j0", "joint --j 0 --n-max 40"),
+    ("equidist_b5", "equidist --j 0 --b 5 --n 1000"),
+    ("asympt", "asympt --n-list 1000,2000,4000,8000"),
+    ("jensen_d3", "jensen --d 3 --n 1000 --renormalized"),
+    # the order-2 scan starts at the measured onset: m = 5 is a genuine failure
+    ("turan_order2", "turan --order 2 --range 6:300"),
+    ("turan_convexity", "turan --order convexity --range 2:80"),
+    ("arcs_b5", "arcs --b 5"),
+    ("validate", "validate"),
+)
 
 
-def cmd_report(args, ctx: RunContext) -> RunReport:
+def cmd_report(args) -> RunReport:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = [(name, fn(ns, ctx)) for name, fn, ns in _report_jobs()]
-    rows = []
-    for name, rep in results:
-        (out_dir / f"{name}.csv").write_text(rep.to_csv_text(), encoding="ascii")
-        (out_dir / f"{name}.json").write_text(rep.to_json_text(), encoding="ascii")
-        rows.append({"experiment": name, "passed": rep.passed, "rows": len(rep.rows)})
     report = RunReport(
         command="report",
         params={"out": str(args.out)},
         columns=("experiment", "passed", "rows"),
-        rows=rows,
     )
+    parser = build_parser()
+    for name, argv in _REPORT_JOBS:
+        job = parser.parse_args(argv.split())
+        job.cache_dir = args.cache_dir
+        rep = job.handler(job)
+        (out_dir / f"{name}.csv").write_text(rep.to_csv_text(), encoding="ascii")
+        (out_dir / f"{name}.json").write_text(rep.to_json_text(), encoding="ascii")
+        report.rows.append({"experiment": name, "passed": rep.passed, "rows": len(rep.rows)})
+        report.add_check(name, rep.passed)
     (out_dir / "index.json").write_text(
         reporting.json_text(
             {
-                "experiments": [r["experiment"] for r in rows],
-                "passed": all(r["passed"] for r in rows),
+                "experiments": [r["experiment"] for r in report.rows],
+                "passed": report.passed,
                 "tool_version": TOOL_VERSION,
             }
         )
         + "\n",
         encoding="ascii",
     )
-    for name, rep in results:
-        report.add_check(name, rep.passed)
     return report
 
 
@@ -618,6 +631,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None)
     sp.set_defaults(handler=cmd_turan)
 
+    sp = sub.add_parser("onset", help="per-degree onset of Jensen hyperbolicity of the pair counts")
+    sp.add_argument("--max-degree", type=int, default=5, dest="max_degree")
+    sp.add_argument("--hi", type=int, default=500)
+    sp.add_argument("--out", default=None)
+    sp.set_defaults(handler=cmd_onset)
+
     sp = sub.add_parser("arcs", help="arc-dominance report")
     sp.add_argument("--b", type=int, required=True)
     sp.add_argument("--out", default=None)
@@ -634,12 +653,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report: RunReport, args, ctx: RunContext) -> None:
-    out = getattr(args, "out", None)
+def _emit(report: RunReport, args) -> None:
     if report.command != "report":  # report writes its own files
-        text = report.to_csv_text() if ctx.fmt == "csv" else report.to_json_text()
-        if out:
-            Path(out).write_text(text, encoding="ascii")
+        text = report.to_csv_text() if args.fmt == "csv" else report.to_json_text()
+        if args.out:
+            Path(args.out).write_text(text, encoding="ascii")
         else:
             sys.stdout.write(text)
     for check in report.checks:
@@ -651,16 +669,16 @@ def _emit(report: RunReport, args, ctx: RunContext) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    ctx = RunContext(cache_dir=_resolve_cache_dir(args), fmt=args.fmt)
+    args.cache_dir = _resolve_cache_dir(args)
     started = time.perf_counter()
     try:
-        report: RunReport = args.handler(args, ctx)
-    except (ValueError, cache.CacheWriteError) as exc:
+        report: RunReport = args.handler(args)
+    except (ValueError, OSError) as exc:  # OSError covers cache.CacheWriteError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report.wall_time_s = time.perf_counter() - started
     try:
-        _emit(report, args, ctx)
+        _emit(report, args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,10 +9,11 @@ Conventions (fixed here, documented once):
   so H_0 = 1, H_1 = X, H_2 = X^2 - 2, H_3 = X^3 - 6X, H_4 = X^4 - 12X^2 + 12;
 * hyperbolic means every root real, counted with multiplicity.
 
-Polynomials are coefficient lists, low degree first.  Root counting is exact
-and uses integers only: rational input is scaled once by the lcm of its
-denominators, and the Sturm chain is a primitive pseudo-remainder sequence,
-each member a positive multiple of the classical one over the rationals.
+Polynomials are coefficient lists, low degree first, and a Sturm chain is a
+tuple of integer coefficient tuples.  Root counting is exact and uses
+integers only: rational input is scaled once by the lcm of its denominators,
+and the Sturm chain is a primitive pseudo-remainder sequence, each member a
+positive multiple of the classical one over the rationals.
 Its last member is gcd(p, p'), which the count of roots with multiplicity
 recurses on.  The renormalized-limit comparisons are floating point.
 """
@@ -83,32 +84,12 @@ def _neg_prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return [-c for c in _prim(r)] if r else r
 
 
-@dataclass(frozen=True)
-class SturmChain:
+def sturm_chain(coeffs: Sequence) -> tuple[tuple[int, ...], ...]:
     """prim(p), prim(p'), then negated primitive pseudo-remainders, all with
     integer coefficients.  Each member is a positive multiple of the
     classical Sturm member (p, p', negated remainders over the rationals), so
-    the sign variations are the same: at -oo minus at +oo they count the
-    distinct real roots.  The last member is gcd(p, p') up to a constant."""
-
-    chain: tuple[tuple[int, ...], ...]
-
-    def variations_at_infinity(self, sign: int) -> int:
-        signs = []
-        for poly in self.chain:
-            lead = poly[-1]
-            s = 1 if lead > 0 else -1
-            if sign < 0 and _degree(poly) % 2:
-                s = -s
-            signs.append(s)
-        return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
-
-    @property
-    def distinct_real_roots(self) -> int:
-        return self.variations_at_infinity(-1) - self.variations_at_infinity(+1)
-
-
-def sturm_chain(coeffs: Sequence) -> SturmChain:
+    the sign variations are the same.  The last member is gcd(p, p') up to a
+    constant."""
     p = _to_ints(coeffs)
     if not p:
         raise ValueError("zero polynomial has no Sturm chain")
@@ -120,17 +101,23 @@ def sturm_chain(coeffs: Sequence) -> SturmChain:
         if not r:
             break
         chain.append(r)
-    return SturmChain(tuple(tuple(c) for c in chain))
+    return tuple(tuple(c) for c in chain)
+
+
+def _distinct_real_roots(chain: Sequence[Sequence[int]]) -> int:
+    """Sign variations of a Sturm chain at -oo minus those at +oo."""
+
+    def variations(at_minus_infinity: bool) -> int:
+        # sign at -oo flips for odd degree, i.e. an even number of coefficients
+        signs = [(poly[-1] > 0) != (at_minus_infinity and len(poly) % 2 == 0) for poly in chain]
+        return sum(u != v for u, v in zip(signs, signs[1:]))
+
+    return variations(True) - variations(False)
 
 
 def real_root_count(coeffs: Sequence) -> int:
     """Number of distinct real roots, by exact Sturm sign variations."""
-    p = _to_ints(coeffs)
-    if not p:
-        raise ValueError("zero polynomial")
-    if _degree(p) == 0:
-        return 0
-    return sturm_chain(p).distinct_real_roots
+    return _distinct_real_roots(sturm_chain(coeffs))
 
 
 def _real_roots_with_multiplicity(p: list[int]) -> int:
@@ -140,7 +127,7 @@ def _real_roots_with_multiplicity(p: list[int]) -> int:
     if _degree(p) <= 0:
         return 0
     chain = sturm_chain(p)
-    return chain.distinct_real_roots + _real_roots_with_multiplicity(list(chain.chain[-1]))
+    return _distinct_real_roots(chain) + _real_roots_with_multiplicity(list(chain[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -183,17 +170,17 @@ class RenormSeq:
             raise ValueError("delta must be positive")
 
 
-def wright_renorm_pair(growth: float, power: float, m: int) -> RenormSeq:
-    """Recentring pair for log alpha(m) ~ 2 sqrt(growth * m) + power * log m + C:
-    first and (negated half) second log-derivatives at m."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+def wright_renorm_pair(growth: float, power: float, n: int) -> RenormSeq:
+    """Recentring pair for log alpha(n) ~ 2 sqrt(growth * n) + power * log n + C:
+    first and (negated half) second log-derivatives at n."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if growth <= 0:
         raise ValueError("growth must be positive")
-    a = math.sqrt(growth / m) + power / m
-    d2 = math.sqrt(growth) / (4.0 * m**1.5) + power / (2.0 * m * m)
+    a = math.sqrt(growth / n) + power / n
+    d2 = math.sqrt(growth) / (4.0 * n**1.5) + power / (2.0 * n * n)
     if d2 <= 0:
-        raise ValueError("second-order coefficient is not positive at this m")
+        raise ValueError("second-order coefficient is not positive at this n")
     return RenormSeq(A_of_n=a, delta_of_n=math.sqrt(d2))
 
 
@@ -271,9 +258,6 @@ def hermite_distance(coeffs: Sequence[float], d: int) -> float:
 class TuranReport:
     """Exact scan of an inequality over an index window of a sequence."""
 
-    order: str  # "2" | "3" | "convexity"
-    lo: int
-    hi: int
     holds: bool
     failures: tuple
     equalities: tuple
@@ -329,14 +313,7 @@ def turan_report(seq: Sequence[int], order, index_range: tuple[int, int]) -> Tur
                         equalities.append((n1, n2))
     else:
         raise ValueError("order must be 2, 3 or 'convexity'")
-    return TuranReport(
-        order=order,
-        lo=lo,
-        hi=hi,
-        holds=not failures,
-        failures=tuple(failures),
-        equalities=tuple(equalities),
-    )
+    return TuranReport(holds=not failures, failures=tuple(failures), equalities=tuple(equalities))
 
 
 def hyperbolicity_onset(seq: Sequence[int], d: int, hi: int, lo: int = 0) -> int | None:

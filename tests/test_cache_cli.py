@@ -1,16 +1,20 @@
 """Cache integrity, deterministic serialization, and the CLI surface."""
 
+import contextlib
 import hashlib
+import io
 import json
 import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bgrank._meta import TOOL_VERSION
 from bgrank.cache import (
+    CacheWriteError,
     cache_filename,
-    cache_roundtrip,
     get_table,
     inspect_cache_file,
     load_table,
@@ -68,7 +72,8 @@ def test_run_report_passed():
 
 def test_cache_roundtrip(tmp_path):
     table = p_table(100)
-    back = cache_roundtrip(table, tmp_path)
+    save_table(tmp_path, table)
+    back = load_table(tmp_path, "p", {}, 100)
     assert back.values == table.values
     assert back.kind == "p" and back.n_max == 100
     assert back.route == table.route
@@ -174,6 +179,16 @@ def test_cache_inspect(tmp_path):
     assert inspect_cache_file(tmp_path / "missing.csv") is None
 
 
+def test_save_table_removes_temp_file_on_failure(tmp_path, monkeypatch):
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("bgrank.cache.os.replace", fail)
+    with pytest.raises(CacheWriteError):
+        save_table(tmp_path, p_table(20))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cache_concurrent_readers(tmp_path):
     table = p_table(200)
     save_table(tmp_path, table)
@@ -250,6 +265,19 @@ def test_cli_negative_n_max_is_argument_error(argv, capsys):
     assert "n_max must be >= 0" in captured.err
 
 
+def test_cli_jensen_renormalized_zero_shift_is_argument_error(capsys):
+    assert main(["--no-cache", "jensen", "--d", "3", "--n", "0", "--renormalized"]) == 2
+    assert "error: n must be >= 1" in capsys.readouterr().err
+
+
+def test_cli_report_into_a_file_path_is_argument_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    assert main(["--no-cache", "report", "--out", str(blocker / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_cli_missing_param_is_argument_error():
     assert main(["--no-cache", "table", "--stat", "pbar", "--n-max", "4"]) == 2
 
@@ -275,6 +303,22 @@ def test_cli_jensen(capsys):
 
 def test_cli_arcs(capsys):
     assert main(["--no-cache", "arcs", "--b", "3"]) == 0
+
+
+def test_cli_onset(capsys):
+    assert main(["--no-cache", "onset", "--max-degree", "3", "--hi", "60"]) == 0
+    d3_failures = ", ".join(map(str, [*range(18), 19, 21, 23]))
+    assert capsys.readouterr().out.split("\n") == [
+        "d,onset,failures_below",
+        '2,5,"[0, 4]"',
+        f'3,24,"[{d3_failures}]"',
+        "",
+    ]
+    # d = 5 and 6 first stabilize at m = 121 and 202
+    assert main(["--no-cache", "onset", "--max-degree", "6", "--hi", "100"]) == 1
+    assert "no stable onset by m = 100: [5, 6]" in capsys.readouterr().err
+    assert main(["--no-cache", "onset", "--max-degree", "1"]) == 2
+    assert main(["--no-cache", "onset", "--hi", "-1"]) == 2
 
 
 def test_cli_uses_cache_dir(tmp_path):
@@ -330,3 +374,60 @@ def test_report_bytes_match_benchmark_reference(tmp_path):
     for f in sorted(tmp_path.iterdir()):
         h.update(f.name.encode() + b"\0" + hashlib.sha256(f.read_bytes()).hexdigest().encode() + b"\n")
     assert h.hexdigest() == ref["sha256"]
+
+
+# Every subcommand but validate and report, with integer flags drawn from one
+# small range; arcs stops at b = 8 because its cost grows fast in b.
+_INTS = st.integers(-3, 61)
+
+
+def _flag(name, values=_INTS):
+    return values.map(lambda v: [name, str(v)])
+
+
+def _maybe(name):
+    return st.one_of(st.just([]), _flag(name))
+
+
+def _command(name, *parts):
+    return st.tuples(*parts).map(lambda ps: [name, *(word for part in ps for word in part)])
+
+
+_FUZZED_ARGV = st.one_of(
+    _command(
+        "table",
+        _flag("--stat", st.sampled_from(("p", "p2", "pbar", "pbar-ab"))),
+        _maybe("--j"),
+        _maybe("--a"),
+        _maybe("--b"),
+        _flag("--n-max"),
+    ),
+    _command("joint", _flag("--j"), _flag("--n-max")),
+    _command("equidist", _flag("--j"), _flag("--b"), _flag("--n")),
+    _command(
+        "asympt",
+        st.lists(_INTS, min_size=1, max_size=4).map(lambda ns: ["--n-list=" + ",".join(map(str, ns))]),
+        _maybe("--b"),
+    ),
+    _command("jensen", _flag("--d"), _flag("--n"), st.sampled_from(([], ["--renormalized"]))),
+    _command(
+        "turan",
+        _flag("--order", st.sampled_from(("2", "3", "convexity"))),
+        st.tuples(_INTS, _INTS).map(lambda r: [f"--range={r[0]}:{r[1]}"]),
+    ),
+    _command("arcs", _flag("--b", st.integers(-3, 8))),
+    _command("onset", _maybe("--max-degree"), _maybe("--hi")),
+)
+
+
+@given(argv=_FUZZED_ARGV, cached=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_cli_exit_codes_fuzzed(argv, cached, tmp_path_factory):
+    prefix = ["--cache-dir", str(tmp_path_factory.mktemp("cache"))] if cached else ["--no-cache"]
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text), contextlib.redirect_stderr(text):
+        try:
+            code = main(prefix + argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), text.getvalue()
