@@ -1,11 +1,12 @@
 """Exact and asymptotic statistics of integer partitions refined by their
 2-core and 2-quotient: rank tables with three independent exact routes
 (brute-force enumeration, crank sums over the pair counts, bivariate sieve),
-circle-method coefficient asymptotics, and Jensen/Hermite convergence checks
-with exact hyperbolicity certificates.
+leading-term circle-method asymptotics, and Jensen/Hermite convergence
+checks with exact hyperbolicity certificates.
 
-Series, Jensen coefficients, Sturm chains and hook lengths are plain lists
-and tuples; the O(N^2) series oracle behind ``bgrank validate`` is not
+Series, joint tables (one {quotient rank: count} dict per size), Jensen
+coefficients, Sturm chains and hook lengths are plain lists, dicts and
+tuples; the O(N^2) series oracle behind ``bgrank validate`` is not
 exported.  Every experiment, the onset atlas included, is a ``bgrank``
 subcommand (``bgrank.cli``)."""
 
@@ -26,7 +27,6 @@ from .partitions import (
     two_quotient_rank,
 )
 from .series import (
-    BivariateSeries,
     OrthogonalityError,
     StatTable,
     joint_table,

@@ -1,11 +1,11 @@
 """Floating-point asymptotics for the rank statistics.
 
-Covers values of the Lerch sum Phi(z,2,1) on the unit circle, direct
+Covers the Lerch sum Phi(z,2,1) on the unit circle away from z = 1, direct
 evaluation of the q-Pochhammer factor and of the congruence-class generating
-function, circle-method coefficient expansions in Wright's normal form
-z^B e^(A/z), and numeric checks that the near-(+/-1) arcs dominate sampled
-off-axis points.  The leading constant of the rank counts is fitted against
-the exact tables by ``bgrank asympt``, not restated here.
+functions (all b classes from one set of products), the leading term of a
+coefficient in Wright's normal form alpha z^B e^(A/z), and numeric checks
+that the near-(+/-1) arcs dominate sampled off-axis points.  The leading
+constant of the rank counts is fitted by ``bgrank asympt``, not restated here.
 
 Everything here works in 64-bit binary floating point; the exact-arithmetic
 counterparts live in the series module.
@@ -23,6 +23,7 @@ import numpy as np
 from .partitions import bg_core_size
 
 _UNIT_TOL = 1e-12
+_CUTOFF = 1e-16
 
 
 def _require_unit(z: complex) -> complex:
@@ -34,30 +35,28 @@ def _require_unit(z: complex) -> complex:
 
 
 def lerch_phi_unit(z: complex, tol: float = 1e-12) -> complex:
-    """Sum_{n>=0} z^n / (n+1)^2 for |z| = 1, to absolute accuracy ~tol.
+    """Sum_{n>=0} z^n / (n+1)^2 for |z| = 1, z != 1, to absolute accuracy ~tol.
 
-    Partial sum with a rigorously bounded tail.  At z = 1 the tail is the
-    trigamma asymptotic series; elsewhere one summation-by-parts step leaves
-    a remainder below 2*(a_K - a_{K+1})/|1-z|^2, which fixes the cutoff.
-    Accuracy bottoms out near accumulated double rounding (~1e-14).
+    Partial sum with a rigorously bounded tail: one summation-by-parts step
+    leaves a remainder below 2*(a_K - a_{K+1})/|1-z|^2, which fixes the
+    cutoff.  Accuracy bottoms out near accumulated double rounding (~1e-14).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     z = _require_unit(z)
     if abs(z - 1.0) <= _UNIT_TOL:
-        m_terms = max(100_000, int(2.0 / tol ** (1.0 / 5)))
-        idx = np.arange(1, m_terms + 2, dtype=np.float64)
-        s = float(np.sum(1.0 / (idx * idx)))
-        k = float(m_terms + 2)
-        tail = 1 / k + 1 / (2 * k * k) + 1 / (6 * k**3) - 1 / (30 * k**5)
-        return complex(s + tail, 0.0)
+        raise ValueError("z = 1 is excluded")
     gap = abs(1.0 - z)
     m_terms = int((4.0 / (tol * gap * gap)) ** (1.0 / 3)) + 8
     if m_terms > 50_000_000:
         raise ValueError("z too close to 1 for the requested tolerance")
     theta = math.atan2(z.imag, z.real)
+    # in place, so the temporaries that set the report's peak memory stay few
     n = np.arange(0, m_terms + 1, dtype=np.float64)
-    partial = complex(np.sum(np.exp(1j * theta * n) / ((n + 1.0) * (n + 1.0))))
+    terms = np.exp(1j * theta * n)
+    n += 1.0
+    terms /= n * n
+    partial = complex(np.sum(terms))
     big_k = m_terms + 1
     a_k = 1.0 / ((big_k + 1) * (big_k + 1))
     partial += a_k * cmath.exp(1j * theta * big_k) / (1.0 - z)
@@ -85,12 +84,12 @@ def dilog_identity_residual(zeta: complex, tol: float = 1e-12) -> float:
 # direct product evaluation
 
 
-def f1_truncated_product(zeta: complex, z: complex, cutoff: float = 1e-16) -> complex:
-    """prod_{n>=1} (1 - zeta e^{-n z}); keeps factors while |e^{-nz}| > cutoff."""
+def f1_truncated_product(zeta: complex, z: complex) -> complex:
+    """prod_{n>=1} (1 - zeta e^{-n z}); keeps factors while |e^{-nz}| > _CUTOFF."""
     z = complex(z)
     if z.real <= 0:
         raise ValueError("Re z must be positive")
-    n_factors = int(-math.log(cutoff) / z.real) + 1
+    n_factors = int(-math.log(_CUTOFF) / z.real) + 1
     q = cmath.exp(-z)
     qn = 1.0 + 0j
     out = 1.0 + 0j
@@ -100,26 +99,33 @@ def f1_truncated_product(zeta: complex, z: complex, cutoff: float = 1e-16) -> co
     return out
 
 
-def h_congruence_numeric(a: int, b: int, z: complex, j: int = 0, cutoff: float = 1e-16) -> complex:
-    """Generating function of the congruence-class counts at q = e^{-z}.
+def h_congruence_numeric(b: int, z: complex, j: int = 0) -> list[complex]:
+    """Generating functions of the congruence-class counts at q = e^{-z},
+    entry a for quotient rank = a mod b, a = 0..b-1.
 
     (1/b) [ q^s (q^2;q^2)^{-2} + sum_{k=1}^{b-1} w^{-ak} q^s / (F(w^k) F(w^-k)) ]
     with w = e^{2 pi i / b}, s the 2-core size for rank j, F the product above
-    evaluated in the variable q^2.
+    evaluated in the variable q^2.  The products do not depend on a, so each
+    is evaluated once for all b classes.
     """
     if b < 2:
         raise ValueError("b must be >= 2")
     z = complex(z)
     q = cmath.exp(-z)
     qs = q ** bg_core_size(j)
-    e2 = f1_truncated_product(1.0, 2 * z, cutoff)
-    total = qs / (e2 * e2)
+    e2 = f1_truncated_product(1.0, 2 * z)
+    rank_only = qs / (e2 * e2)
+    pairs = []
     for k in range(1, b):
         w = cmath.exp(2j * math.pi * k / b)
-        fk = f1_truncated_product(w, 2 * z, cutoff)
-        fkc = f1_truncated_product(w.conjugate(), 2 * z, cutoff)
-        total += cmath.exp(-2j * math.pi * a * k / b) * qs / (fk * fkc)
-    return total / b
+        pairs.append(f1_truncated_product(w, 2 * z) * f1_truncated_product(w.conjugate(), 2 * z))
+    out = []
+    for a in range(b):
+        total = rank_only
+        for k, pair in enumerate(pairs, 1):
+            total += cmath.exp(-2j * math.pi * a * k / b) * qs / pair
+        out.append(total / b)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -128,19 +134,17 @@ def h_congruence_numeric(a: int, b: int, z: complex, j: int = 0, cutoff: float =
 
 @dataclass(frozen=True)
 class WrightParams:
-    """Singular expansion data: F(e^{-z}) ~ z^B e^{A/z} sum_j alphas[j] z^j,
-    with arc_factor counting the dominant arcs that contribute equally."""
+    """Leading singular data: F(e^{-z}) ~ alpha z^B e^{A/z}, with arc_factor
+    counting the dominant arcs that contribute equally."""
 
     A: float
     B: float
-    alphas: tuple[complex, ...]
+    alpha: float
     arc_factor: int = 1
 
     def __post_init__(self):
         if self.A <= 0:
             raise ValueError("A must be positive")
-        if not self.alphas:
-            raise ValueError("alphas must be non-empty")
         if self.arc_factor < 1:
             raise ValueError("arc_factor must be >= 1")
 
@@ -163,35 +167,23 @@ def wright_coefficient(j: int, r: int, A: float, B: float) -> float:
     return (-0.25 / math.sqrt(A)) ** r * math.sqrt(A) ** (j + B + 0.5) / (2.0 * math.sqrt(math.pi)) * ratio
 
 
-def wright_p_r(params: WrightParams, r: int) -> complex:
-    return sum(
-        params.alphas[i] * wright_coefficient(i, r - i, params.A, params.B)
-        for i in range(min(r, len(params.alphas) - 1) + 1)
-    )
-
-
-def wright_asymptotic(n: int, params: WrightParams, terms: int | None = None) -> float:
-    """arc_factor * n^{(-2B-3)/4} e^{2 sqrt(A n)} sum_{r<terms} p_r n^{-r/2}."""
+def wright_asymptotic(n: int, params: WrightParams) -> float:
+    """Leading term arc_factor * alpha * c_{0,0} * n^{(-2B-3)/4} e^{2 sqrt(A n)}."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if terms is None:
-        terms = len(params.alphas)
-    if not 1 <= terms <= len(params.alphas):
-        raise ValueError("terms must lie in [1, len(alphas)]")
-    s = sum(wright_p_r(params, r) * n ** (-r / 2) for r in range(terms))
     envelope = params.arc_factor * n ** ((-2 * params.B - 3) / 4) * math.exp(2 * math.sqrt(params.A * n))
-    return envelope * s.real
+    return envelope * (params.alpha * wright_coefficient(0, 0, params.A, params.B))
 
 
-HR_PARAMS = WrightParams(A=math.pi**2 / 6, B=0.5, alphas=(1 / math.sqrt(2 * math.pi),), arc_factor=1)
+HR_PARAMS = WrightParams(A=math.pi**2 / 6, B=0.5, alpha=1 / math.sqrt(2 * math.pi), arc_factor=1)
 
 
 def rank_count_params(b: int = 1) -> WrightParams:
-    """Wright data for the rank counts: A = pi^2/6, B = 1, alpha_0 = 1/(b pi),
+    """Wright data for the rank counts: A = pi^2/6, B = 1, alpha = 1/(b pi),
     two contributing arcs (q = 1 and q = -1)."""
     if b < 1:
         raise ValueError("b must be >= 1")
-    return WrightParams(A=math.pi**2 / 6, B=1.0, alphas=(1 / (b * math.pi),), arc_factor=2)
+    return WrightParams(A=math.pi**2 / 6, B=1.0, alpha=1 / (b * math.pi), arc_factor=2)
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +243,9 @@ def arc_dominance_check(
     samples = []
     for slope in slopes:
         for x in xs:
-            z_minor = complex(x, slope * x)
-            z_major = complex(x * math.hypot(1.0, slope), 0.0)
+            minor = h_congruence_numeric(b, complex(x, slope * x), j)
+            major = h_congruence_numeric(b, complex(x * math.hypot(1.0, slope), 0.0), j)
             for a in range(b):
-                minor = abs(h_congruence_numeric(a, b, z_minor, j))
-                major = abs(h_congruence_numeric(a, b, z_major, j))
-                ratio = minor / major
+                ratio = abs(minor[a]) / abs(major[a])
                 samples.append(ArcSample(a=a, slope=slope, x=x, ratio=ratio, ok=ratio < 1.0))
     return ArcDominanceReport(arg_checks=tuple(arg_checks), samples=tuple(samples))

@@ -82,33 +82,32 @@ def _resolve_cache_dir(args) -> Path | None:
 # subcommands
 
 
+# stat -> (cache kind, selectors it takes, builder); lambdas look a rebound name up at call time
+_STATS = {
+    "p": ("p", (), lambda args: p_table(args.n_max)),
+    "p2": ("p2", (), lambda args: p2_table(args.n_max)),
+    "pbar": ("pbar_j", ("j",), lambda args: pbar_table(args.j, args.n_max)),
+    "pbar-ab": (
+        "pbar_jab",
+        ("j", "a", "b"),
+        lambda args: pbar_abn_table(args.j, args.a, args.b, args.n_max),
+    ),
+}
+
+
 def cmd_table(args) -> RunReport:
     stat = args.stat
-    n_max = args.n_max
-    if stat == "p":
-        table = cache.get_table("p", {}, n_max, lambda: p_table(n_max), args.cache_dir)
-    elif stat == "p2":
-        table = cache.get_table("p2", {}, n_max, lambda: p2_table(n_max), args.cache_dir)
-    elif stat == "pbar":
-        if args.j is None:
-            raise ValueError("--stat pbar requires --j")
-        table = cache.get_table(
-            "pbar_j", {"j": args.j}, n_max, lambda: pbar_table(args.j, n_max), args.cache_dir
-        )
-    else:  # pbar-ab
-        if args.j is None or args.a is None or args.b is None:
-            raise ValueError("--stat pbar-ab requires --j, --a and --b")
-        params = {"j": args.j, "a": args.a, "b": args.b}
-        table = cache.get_table(
-            "pbar_jab",
-            params,
-            n_max,
-            lambda: pbar_abn_table(args.j, args.a, args.b, n_max),
-            args.cache_dir,
-        )
+    kind, takes, build = _STATS[stat]
+    params = {"j": args.j, "a": args.a, "b": args.b}
+    for name, value in params.items():
+        if (value is None) == (name in takes):
+            raise ValueError(f"--stat {stat} {'requires' if value is None else 'takes no'} --{name}")
+    table = cache.get_table(
+        kind, {name: params[name] for name in takes}, args.n_max, lambda: build(args), args.cache_dir
+    )
     report = RunReport(
         command="table",
-        params={"stat": stat, "j": args.j, "a": args.a, "b": args.b, "n_max": n_max},
+        params={"stat": stat, **params, "n_max": args.n_max},
         columns=("n", "value"),
         rows=[{"n": n, "value": v} for n, v in enumerate(table.values)],
     )
@@ -117,34 +116,24 @@ def cmd_table(args) -> RunReport:
 
 
 def cmd_joint(args) -> RunReport:
-    biv = joint_table(args.j, args.n_max)
-    rows = []
-    for n in range(biv.truncation + 1):
-        for m in sorted(biv.row(n)):
-            rows.append({"n": n, "m": m, "count": biv.coefficient(m, n)})
+    joint = joint_table(args.j, args.n_max)
     report = RunReport(
         command="joint",
         params={"j": args.j, "n_max": args.n_max},
         columns=("n", "m", "count"),
-        rows=rows,
+        rows=[{"n": n, "m": m, "count": row[m]} for n, row in enumerate(joint) for m in sorted(row)],
     )
-    symmetric = all(
-        biv.coefficient(m, n) == biv.coefficient(-m, n)
-        for n in range(biv.truncation + 1)
-        for m in biv.row(n)
-    )
+    symmetric = all(row.get(-m, 0) == c for row in joint for m, c in row.items())
     report.add_check("rank-symmetry", symmetric, "counts at m and -m agree")
-    collapse_ok = all(
-        biv.row_sum(n) == pbar_eta(args.j, n) for n in range(biv.truncation + 1)
-    )
+    collapse_ok = all(sum(row.values()) == pbar_eta(args.j, n) for n, row in enumerate(joint))
     report.add_check("collapse-to-rank-count", collapse_ok, "row sums match the univariate table")
     return report
 
 
 def cmd_equidist(args) -> RunReport:
     j, b, n = args.j, args.b, args.n
+    total = pbar_eta(j, n)  # first, so a negative n is reported as n
     tables = pbar_abn_values(j, b, n)
-    total = pbar_eta(j, n)
     rows = []
     max_dev = Fraction(0)
     for a in range(b):
@@ -173,18 +162,15 @@ def cmd_equidist(args) -> RunReport:
 def cmd_asympt(args) -> RunReport:
     n_list = args.n_list
     b = args.b
+    if b < 1:
+        raise ValueError("b must be >= 1")
     rows = []
     r_values = []
     for n in n_list:
         if n % 2 or n < 2:
             raise ValueError("asympt n-list entries must be even and >= 2")
-        if b == 1:
-            count = pbar_eta(0, n)
-            scaled = count
-        else:
-            table = pbar_abn_values(0, b, n)
-            count = table[0][n]
-            scaled = b * count
+        count = pbar_eta(0, n) if b == 1 else pbar_abn_values(0, b, n)[0][n]
+        scaled = b * count
         if scaled == 0:
             raise ValueError(f"count is zero at n = {n}; pick a larger n for b = {b}")
         r = math.exp(math.log(scaled) + 1.25 * math.log(n) - math.pi * math.sqrt(2.0 * n / 3.0))
@@ -227,6 +213,8 @@ def cmd_asympt(args) -> RunReport:
 
 def cmd_jensen(args) -> RunReport:
     d, n = args.d, args.n
+    if d < 1 or n < 0:
+        raise ValueError("jensen needs --d >= 1 and --n >= 0")
     seq = p2_values(n + d + 1)
     if args.renormalized:
         coeffs = renormalized_jensen(seq, d, n, renorm_sequences_step2(n))
@@ -409,14 +397,15 @@ def _validation_checks():
             for j in (0, 2, -2):
                 if bg_core_size(j) > n:
                     continue
-                biv = joint_table(j, n)
+                row = joint_table(j, n)[n]
                 for b in (2, 3, 5):
                     tables = pbar_abn_values(j, b, n)
                     for a in range(b):
                         enum = sum(
                             c for (jj, m), c in census.items() if jj == j and m % b == a
                         )
-                        if not enum == tables[a][n] == biv.row_sum_mod(n, a, b):
+                        sieve = sum(c for m, c in row.items() if m % b == a)
+                        if not enum == tables[a][n] == sieve:
                             return False, f"oracle mismatch at n={n} j={j} a={a} b={b}"
         # "character sum" names the former congruence route; the detail text
         # is kept byte-identical in the report
@@ -439,7 +428,7 @@ def _validation_checks():
         return worst <= 1e-10, f"max inversion-identity residual {worst:.2e}"
 
     def calibration():
-        got = HR_PARAMS.alphas[0] * wright_coefficient(0, 0, HR_PARAMS.A, HR_PARAMS.B)
+        got = HR_PARAMS.alpha * wright_coefficient(0, 0, HR_PARAMS.A, HR_PARAMS.B)
         want = 1.0 / (4.0 * math.sqrt(3.0))
         return abs(got - want) <= 1e-12, f"|alpha0*c00 - 1/(4 sqrt 3)| = {abs(got - want):.2e}"
 
@@ -589,61 +578,56 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
     parser.add_argument("--version", action="version", version=TOOL_VERSION)
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
 
-    sp = sub.add_parser("table", help="exact counting tables")
+    sp = sub.add_parser("table", help="exact counting tables", parents=[out])
     sp.add_argument("--stat", choices=("p", "p2", "pbar", "pbar-ab"), required=True)
     sp.add_argument("--j", type=int, default=None)
     sp.add_argument("--a", type=int, default=None)
     sp.add_argument("--b", type=int, default=None)
     sp.add_argument("--n-max", type=int, required=True, dest="n_max")
-    sp.add_argument("--out", default=None)
     sp.set_defaults(handler=cmd_table)
 
-    sp = sub.add_parser("joint", help="bivariate (rank, size) table")
+    sp = sub.add_parser("joint", help="bivariate (rank, size) table", parents=[out])
     sp.add_argument("--j", type=int, required=True)
     sp.add_argument("--n-max", type=int, required=True, dest="n_max")
-    sp.add_argument("--out", default=None)
     sp.set_defaults(handler=cmd_joint)
 
-    sp = sub.add_parser("equidist", help="residue-class ratios b*count/total")
+    sp = sub.add_parser("equidist", help="residue-class ratios b*count/total", parents=[out])
     sp.add_argument("--j", type=int, required=True)
     sp.add_argument("--b", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--out", default=None)
     sp.set_defaults(handler=cmd_equidist)
 
-    sp = sub.add_parser("asympt", help="empirical leading-constant fit")
+    sp = sub.add_parser("asympt", help="empirical leading-constant fit", parents=[out])
     sp.add_argument("--n-list", type=_parse_n_list, required=True, dest="n_list")
     sp.add_argument("--b", type=int, default=1)
-    sp.add_argument("--out", default=None)
     sp.set_defaults(handler=cmd_asympt)
 
-    sp = sub.add_parser("jensen", help="Jensen polynomial of the pair-count sequence")
+    sp = sub.add_parser("jensen", help="Jensen polynomial of the pair-count sequence", parents=[out])
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--renormalized", action="store_true")
-    sp.add_argument("--out", default=None)
     sp.set_defaults(handler=cmd_jensen)
 
-    sp = sub.add_parser("turan", help="inequality scans over the pair-count sequence")
+    sp = sub.add_parser("turan", help="inequality scans over the pair-count sequence", parents=[out])
     sp.add_argument("--order", choices=("2", "3", "convexity"), required=True)
     sp.add_argument("--range", type=_parse_range, required=True)
-    sp.add_argument("--out", default=None)
     sp.set_defaults(handler=cmd_turan)
 
-    sp = sub.add_parser("onset", help="per-degree onset of Jensen hyperbolicity of the pair counts")
+    sp = sub.add_parser(
+        "onset", help="per-degree onset of Jensen hyperbolicity of the pair counts", parents=[out]
+    )
     sp.add_argument("--max-degree", type=int, default=5, dest="max_degree")
     sp.add_argument("--hi", type=int, default=500)
-    sp.add_argument("--out", default=None)
     sp.set_defaults(handler=cmd_onset)
 
-    sp = sub.add_parser("arcs", help="arc-dominance report")
+    sp = sub.add_parser("arcs", help="arc-dominance report", parents=[out])
     sp.add_argument("--b", type=int, required=True)
-    sp.add_argument("--out", default=None)
     sp.set_defaults(handler=cmd_arcs)
 
-    sp = sub.add_parser("validate", help="full invariant suite")
-    sp.add_argument("--out", default=None)
+    sp = sub.add_parser("validate", help="full invariant suite", parents=[out])
     sp.set_defaults(handler=cmd_validate)
 
     sp = sub.add_parser("report", help="run every experiment at default scales")

@@ -11,9 +11,9 @@ Three independent exact routes to the same counts live here:
   z^m in 1/((zQ;Q)_oo (z^-1 Q;Q)_oo) is
   (1/(Q;Q)_oo^2) sum_{k>=1} (-1)^(k-1) Q^(k(k-1)/2 + k|m|) (1 - Q^k),
   so each residue class is O(sqrt N) shifted progression sums of p2,
-  O(b N^1.5) in all, checked row by row against ``pbar_eta``;
-* ``joint_table`` -- the full bivariate (rank, size) table, by in-place
-  division over Z[z, z^-1] by each factor of the product.
+  O(b N^1.5) in all, checked row by row against ``pbar_values``;
+* ``joint_table`` -- the (rank, size) table, one {m: count} dict per size n,
+  by in-place division over Z[z, z^-1] by each factor of the product.
 
 ``series_invert`` and ``euler_factor_product`` are the O(N^2) schoolbook
 oracle behind the validation suite's series-inverse check.  Series are plain
@@ -251,45 +251,21 @@ def pbar_abn_table(j: int, a: int, b: int, n_max: int) -> StatTable:
 # bivariate (rank, size) table
 
 
-class BivariateSeries:
-    """For each size n <= truncation, a sparse map {quotient rank m: count}."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence[dict]):
-        self.coeffs = [dict(c) for c in coeffs]
-
-    @property
-    def truncation(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coefficient(self, m: int, n: int) -> int:
-        return self.coeffs[n].get(m, 0)
-
-    def row(self, n: int) -> dict:
-        return dict(self.coeffs[n])
-
-    def row_sum(self, n: int) -> int:
-        return sum(self.coeffs[n].values())
-
-    def row_sum_mod(self, n: int, a: int, b: int) -> int:
-        return sum(c for m, c in self.coeffs[n].items() if m % b == a % b)
-
-
 JOINT_CAP = 60
 
 
-def joint_table(j: int, n_max: int) -> BivariateSeries:
-    """Exact joint counts by (quotient rank, size) for fixed rank j; n_max <= 60."""
+def joint_table(j: int, n_max: int) -> list[dict[int, int]]:
+    """Exact joint counts for fixed rank j: row n maps quotient rank m to the
+    number of partitions of n with ranks (j, m); n_max <= 60."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if n_max > JOINT_CAP:
         raise ValueError(f"bivariate table capped at n_max = {JOINT_CAP}")
     shift = bg_core_size(j)
     nq = (n_max - shift) // 2 if n_max >= shift else -1
-    coeffs: list[dict] = [dict() for _ in range(n_max + 1)]
+    rows: list[dict[int, int]] = [{} for _ in range(n_max + 1)]
     if nq < 0:
-        return BivariateSeries(coeffs)
+        return rows
     # 1 / prod_{i>=1} (1 - z Q^i)(1 - z^-1 Q^i) by in-place division, Q = q^2;
     # f[m] maps r to the coefficient of z^r Q^m
     f: list[dict] = [{} for _ in range(nq + 1)]
@@ -301,8 +277,8 @@ def joint_table(j: int, n_max: int) -> BivariateSeries:
                 for r, c in f[m - i].items():
                     dst[r + e] = dst.get(r + e, 0) + c
     for m, row in enumerate(f):
-        coeffs[2 * m + shift] = row
-    return BivariateSeries(coeffs)
+        rows[2 * m + shift] = row
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -66,12 +66,13 @@ def test_triple_oracle_agreement(censuses_even_30):
         for j in (0, 2, -2, 4):
             if bg_core_size(j) > n:
                 continue
-            biv = joint_table(j, n)
+            row = joint_table(j, n)[n]
             for b in (2, 3, 5):
                 tables = pbar_abn_values(j, b, n)
                 for a in range(b):
                     enum = sum(c for (jj, m), c in census.items() if jj == j and m % b == a)
-                    assert enum == tables[a][n] == biv.row_sum_mod(n, a, b), (n, j, a, b)
+                    sieve = sum(c for m, c in row.items() if m % b == a)
+                    assert enum == tables[a][n] == sieve, (n, j, a, b)
                     checked += 1
     elapsed = time.time() - t0
     assert elapsed < 300
@@ -100,10 +101,10 @@ def test_exactness_anchors():
 
 
 def test_wright_calibration():
-    constant = HR_PARAMS.alphas[0] * wright_coefficient(0, 0, HR_PARAMS.A, HR_PARAMS.B)
+    constant = HR_PARAMS.alpha * wright_coefficient(0, 0, HR_PARAMS.A, HR_PARAMS.B)
     err = abs(constant - 1.0 / (4.0 * math.sqrt(3.0)))
     assert err <= 1e-12
-    ratio = wright_asymptotic(5000, HR_PARAMS, 1) / p_values(5000)[5000]
+    ratio = wright_asymptotic(5000, HR_PARAMS) / p_values(5000)[5000]
     assert abs(ratio - 1) <= 0.02
     _announce("wright-calibration", f"constant error {err:.1e}; ratio at 5000 = {ratio:.5f}")
 

@@ -18,7 +18,7 @@ from bgrank.asymptotics import (
     wright_asymptotic,
     wright_coefficient,
 )
-from bgrank.series import p_values, pbar_eta
+from bgrank.series import p_values, pbar_abn_values, pbar_eta
 
 PI = math.pi
 
@@ -27,9 +27,13 @@ def root(b, k):
     return cmath.exp(2j * PI * k / b)
 
 
+CATALAN = 0.915965594177219015054603514932384110774
+
+
 def test_lerch_closed_forms():
-    assert abs(lerch_phi_unit(1.0, 1e-12) - PI**2 / 6) <= 1e-12
     assert abs(lerch_phi_unit(-1.0, 1e-12) - PI**2 / 12) <= 1e-12
+    # Li2(i) = -pi^2/48 + i G, so Phi(i,2,1) = Li2(i)/i = G + i pi^2/48
+    assert abs(lerch_phi_unit(1j, 1e-12) - complex(CATALAN, PI**2 / 48)) <= 1e-12
     # Li2(-1) = -pi^2/12 via z * Phi(z,2,1)
     z = -1.0 + 0j
     assert abs(z * lerch_phi_unit(z, 1e-12) - (-(PI**2) / 12)) <= 1e-12
@@ -39,12 +43,14 @@ def test_lerch_rejects_bad_input():
     with pytest.raises(ValueError):
         lerch_phi_unit(0.5)
     with pytest.raises(ValueError):
-        lerch_phi_unit(1.0, tol=0.0)
+        lerch_phi_unit(-1.0, tol=0.0)
+    with pytest.raises(ValueError):
+        lerch_phi_unit(1.0)
 
 
 def test_lerch_tail_stability():
     # tightening the tolerance (longer partial sums) moves the value < tol
-    for z in (1.0, -1.0, root(5, 1), root(12, 5)):
+    for z in (-1.0, root(5, 1), root(12, 5)):
         coarse = lerch_phi_unit(z, 1e-8)
         fine = lerch_phi_unit(z, 1e-13)
         assert abs(coarse - fine) <= 1e-8
@@ -104,48 +110,36 @@ def test_wright_coefficient_pole_convention():
 
 
 def test_hardy_ramanujan_calibration():
-    got = HR_PARAMS.alphas[0] * wright_coefficient(0, 0, HR_PARAMS.A, HR_PARAMS.B)
+    got = HR_PARAMS.alpha * wright_coefficient(0, 0, HR_PARAMS.A, HR_PARAMS.B)
     assert abs(got - 1 / (4 * math.sqrt(3))) <= 1e-12
 
 
 def test_wright_vs_exact_p():
     pv = p_values(5000)
     for n in (1000, 5000):
-        ratio = wright_asymptotic(n, HR_PARAMS, 1) / pv[n]
+        ratio = wright_asymptotic(n, HR_PARAMS) / pv[n]
         assert abs(ratio - 1) <= 0.02
 
 
 def test_wright_vs_exact_rank_counts_monotone(p2_big):
     params = rank_count_params(1)
-    assert params.alphas[0] * wright_coefficient(0, 0, params.A, params.B) * 2 == pytest.approx(
+    assert params.alpha * wright_coefficient(0, 0, params.A, params.B) * 2 == pytest.approx(
         6**-0.75, rel=1e-13
     )
     errors = []
     for n in (1000, 2000, 4000, 8000):
-        ratio = wright_asymptotic(n, params, 1) / pbar_eta(0, n)
+        ratio = wright_asymptotic(n, params) / pbar_eta(0, n)
         errors.append(abs(ratio - 1))
     assert errors[0] > errors[1] > errors[2] > errors[3]
 
 
-def test_wright_accepts_complex_alphas():
-    # character-weighted singular data can be complex; the output stays real
-    params = WrightParams(A=PI**2 / 6, B=0.5, alphas=(0.4 + 0.3j, 0.1 - 0.2j), arc_factor=1)
-    v1 = wright_asymptotic(100, params, 1)
-    v2 = wright_asymptotic(100, params, 2)
-    assert isinstance(v1, float) and isinstance(v2, float)
-    real_only = WrightParams(A=PI**2 / 6, B=0.5, alphas=(0.4, 0.1))
-    assert wright_asymptotic(100, real_only, 2) != wright_asymptotic(100, real_only, 1)
-
-
 def test_wright_params_validation():
     with pytest.raises(ValueError):
-        WrightParams(A=-1.0, B=0.5, alphas=(1.0,))
+        WrightParams(A=-1.0, B=0.5, alpha=1.0)
     with pytest.raises(ValueError):
-        WrightParams(A=1.0, B=0.5, alphas=())
+        WrightParams(A=1.0, B=0.5, alpha=1.0, arc_factor=0)
     with pytest.raises(ValueError):
         wright_asymptotic(0, HR_PARAMS)
-    with pytest.raises(ValueError):
-        wright_asymptotic(10, HR_PARAMS, 2)
 
 
 def test_minus_root_angles_exact():
@@ -173,8 +167,18 @@ def test_arc_dominance_small():
 def test_h_congruence_numeric_consistency():
     # summing the numeric class series over a recovers the rank-only series
     z = 0.3 + 0.1j
-    b = 4
-    total = sum(h_congruence_numeric(a, b, z) for a in range(b))
-    q = cmath.exp(-z)
+    total = sum(h_congruence_numeric(4, z))
     e2 = f1_truncated_product(1.0, 2 * z)
     assert total == pytest.approx(1 / (e2 * e2), rel=1e-10)
+
+
+@pytest.mark.parametrize("z", [0.3, 0.3 + 0.1j])
+@pytest.mark.parametrize("b", [2, 3, 4, 5, 7])
+def test_h_congruence_class_values_match_exact_tables(b, z):
+    # sizes past 400 weigh below e^{-120} against the exact class counts
+    tables = pbar_abn_values(0, b, 400)
+    got = h_congruence_numeric(b, z)
+    assert len(got) == b
+    for a, counts in enumerate(tables):
+        want = sum(c * cmath.exp(-n * z) for n, c in enumerate(counts) if c)
+        assert abs(got[a] - want) <= 1e-12 * abs(want), a

@@ -1,7 +1,10 @@
 """Cache integrity, deterministic serialization, and the CLI surface."""
 
+import ast
 import contextlib
 import hashlib
+import importlib
+import inspect
 import io
 import json
 import threading
@@ -265,6 +268,42 @@ def test_cli_negative_n_max_is_argument_error(argv, capsys):
     assert "n_max must be >= 0" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["jensen", "--d", "1", "--n", "-3"], "jensen needs --d >= 1 and --n >= 0"),
+        (["equidist", "--j", "0", "--b", "5", "--n", "-3"], "n must be >= 0"),
+        (["jensen", "--d", "-5", "--n", "1"], "jensen needs --d >= 1 and --n >= 0"),
+        (["jensen", "--d", "-5", "--n", "1", "--renormalized"], "jensen needs --d >= 1 and --n >= 0"),
+        (["asympt", "--n-list", "4", "--b", "0"], "b must be >= 1"),
+        (["asympt", "--n-list", "4", "--b", "-1"], "b must be >= 1"),
+    ],
+)
+def test_cli_out_of_range_flag_is_named(argv, message, capsys):
+    assert main(["--no-cache", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "stat, selectors",
+    [
+        ("p", ["--j", "5"]),
+        ("p", ["--a", "1"]),
+        ("p2", ["--b", "5"]),
+        ("pbar", ["--j", "0", "--b", "5"]),
+        ("pbar", ["--j", "0", "--a", "1"]),
+    ],
+)
+def test_cli_table_rejects_a_selector_the_stat_does_not_take(stat, selectors, capsys):
+    argv = ["--no-cache", "table", "--stat", stat, *selectors, "--n-max", "3"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: --stat {stat} takes no {selectors[-2]}" in captured.err
+
+
 def test_cli_jensen_renormalized_zero_shift_is_argument_error(capsys):
     assert main(["--no-cache", "jensen", "--d", "3", "--n", "0", "--renormalized"]) == 2
     assert "error: n must be >= 1" in capsys.readouterr().err
@@ -374,6 +413,25 @@ def test_report_bytes_match_benchmark_reference(tmp_path):
     for f in sorted(tmp_path.iterdir()):
         h.update(f.name.encode() + b"\0" + hashlib.sha256(f.read_bytes()).hexdigest().encode() + b"\n")
     assert h.hexdigest() == ref["sha256"]
+
+
+def test_benchmark_span_names_resolve():
+    # perfbench's tracer wraps the public functions each bgrank.<layer> defines;
+    # a span naming anything else would record no call in a traced run
+    tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "workloads.py").read_text())
+    (spans,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "EXPECTED_SPANS" for t in node.targets)
+    ]
+    names = {name for names in spans.values() for name in names} - {"cli.parse_args"}
+    assert names
+    for name in sorted(names):
+        layer, fn = name.split(".")
+        module = importlib.import_module(f"bgrank.{layer}")
+        obj = getattr(module, fn, None)
+        assert not fn.startswith("_") and inspect.isfunction(obj), name
+        assert obj.__module__ == module.__name__, name
 
 
 # Every subcommand but validate and report, with integer flags drawn from one
