@@ -20,8 +20,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .partitions import bg_core_size
-
 _UNIT_TOL = 1e-12
 _CUTOFF = 1e-16
 
@@ -63,7 +61,7 @@ def lerch_phi_unit(z: complex, tol: float = 1e-12) -> complex:
     return partial
 
 
-def dilog_identity_residual(zeta: complex, tol: float = 1e-12) -> float:
+def dilog_identity_residual(zeta: complex) -> float:
     """|Li2(z) + Li2(1/z) + pi^2/6 + log(-z)^2 / 2| at unit-modulus z != 1.
 
     The inversion identity makes this zero; the residual measures evaluation
@@ -74,7 +72,7 @@ def dilog_identity_residual(zeta: complex, tol: float = 1e-12) -> float:
     if abs(zeta - 1.0) <= _UNIT_TOL:
         raise ValueError("zeta = 1 is excluded")
     # Li_2(z) = z * Phi(z, 2, 1) on the unit circle
-    lhs = sum(z * lerch_phi_unit(z, tol) for z in map(_require_unit, (zeta, 1.0 / zeta)))
+    lhs = sum(z * lerch_phi_unit(z) for z in map(_require_unit, (zeta, 1.0 / zeta)))
     log_neg = cmath.log(-zeta)
     rhs = -math.pi**2 / 6 - 0.5 * log_neg * log_neg
     return abs(lhs - rhs)
@@ -99,22 +97,20 @@ def f1_truncated_product(zeta: complex, z: complex) -> complex:
     return out
 
 
-def h_congruence_numeric(b: int, z: complex, j: int = 0) -> list[complex]:
-    """Generating functions of the congruence-class counts at q = e^{-z},
+def h_congruence_numeric(b: int, z: complex) -> list[complex]:
+    """Generating functions of the rank-0 congruence-class counts at q = e^{-z},
     entry a for quotient rank = a mod b, a = 0..b-1.
 
-    (1/b) [ q^s (q^2;q^2)^{-2} + sum_{k=1}^{b-1} w^{-ak} q^s / (F(w^k) F(w^-k)) ]
-    with w = e^{2 pi i / b}, s the 2-core size for rank j, F the product above
-    evaluated in the variable q^2.  The products do not depend on a, so each
-    is evaluated once for all b classes.
+    (1/b) [ (q^2;q^2)^{-2} + sum_{k=1}^{b-1} w^{-ak} / (F(w^k) F(w^-k)) ]
+    with w = e^{2 pi i / b} and F the product above evaluated in the
+    variable q^2.  The products do not depend on a, so each is evaluated
+    once for all b classes.
     """
     if b < 2:
         raise ValueError("b must be >= 2")
     z = complex(z)
-    q = cmath.exp(-z)
-    qs = q ** bg_core_size(j)
     e2 = f1_truncated_product(1.0, 2 * z)
-    rank_only = qs / (e2 * e2)
+    rank_only = 1 / (e2 * e2)
     pairs = []
     for k in range(1, b):
         w = cmath.exp(2j * math.pi * k / b)
@@ -123,7 +119,7 @@ def h_congruence_numeric(b: int, z: complex, j: int = 0) -> list[complex]:
     for a in range(b):
         total = rank_only
         for k, pair in enumerate(pairs, 1):
-            total += cmath.exp(-2j * math.pi * a * k / b) * qs / pair
+            total += cmath.exp(-2j * math.pi * a * k / b) / pair
         out.append(total / b)
     return out
 
@@ -220,18 +216,17 @@ def minus_root_angle_over_pi(b: int, k: int) -> Fraction:
     return r
 
 
-def arc_dominance_check(
-    b: int,
-    j: int = 0,
-    slopes: tuple[int, ...] = (2, 5),
-    xs: tuple[float, ...] = (0.05, 0.02),
-) -> ArcDominanceReport:
+_ARC_SLOPES = (2, 5)
+_ARC_XS = (0.05, 0.02)
+
+
+def arc_dominance_check(b: int) -> ArcDominanceReport:
     """Exact angle inequality per root plus sampled off-axis magnitudes.
 
     (i) verifies pi^2 - 3 arg(-w^k)^2 < 2 pi^2 in exact rational arithmetic
     (angles are rational multiples of pi);
-    (ii) samples |H| at z = x(1 + i*slope) and compares against the on-axis
-    point of the same |z|, for every residue class a.
+    (ii) samples the rank-0 |H| at z = x(1 + i*slope) and compares against
+    the on-axis point of the same |z|, for every residue class a.
     """
     if b < 2:
         raise ValueError("b must be >= 2")
@@ -241,10 +236,10 @@ def arc_dominance_check(
         holds = 1 - 3 * r * r < 2  # exact: divide the inequality by pi^2
         arg_checks.append(ArgInequalityCheck(k=k, angle_over_pi=r, holds=holds))
     samples = []
-    for slope in slopes:
-        for x in xs:
-            minor = h_congruence_numeric(b, complex(x, slope * x), j)
-            major = h_congruence_numeric(b, complex(x * math.hypot(1.0, slope), 0.0), j)
+    for slope in _ARC_SLOPES:
+        for x in _ARC_XS:
+            minor = h_congruence_numeric(b, complex(x, slope * x))
+            major = h_congruence_numeric(b, complex(x * math.hypot(1.0, slope), 0.0))
             for a in range(b):
                 ratio = abs(minor[a]) / abs(major[a])
                 samples.append(ArcSample(a=a, slope=slope, x=x, ratio=ratio, ok=ratio < 1.0))

@@ -1,12 +1,13 @@
 """On-disk cache for StatTable values.
 
-One CSV file per table: a magic line, a JSON meta line (kind, params, n_max,
-route, tool_version), a SHA-256 line over the data block, then ``n,value``
-rows with big integers as base-10 strings.  Writes are atomic
-(rename-on-write); a checksum or metadata mismatch, a meta line with a
-missing or wrongly typed field, or a file written by another tool version
-makes the loader return None so the caller recomputes -- corrupt or stale
-data is never served.
+One CSV file per table: a magic line, a JSON meta line (kind, n_max, params,
+tool_version), a SHA-256 line over the data block, then ``n,value`` rows
+with big integers as base-10 strings.  Writes are atomic (rename-on-write).
+The loader renders the magic and meta lines the request would have written
+and serves the file only if it starts with exactly those bytes and the data
+block matches its checksum; anything else -- another request, another tool
+version or file format, a corrupt byte -- returns None so the caller
+recomputes.  Corrupt or stale data is never served.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from ._meta import TOOL_VERSION
 from .reporting import json_text
 from .series import StatTable
 
-MAGIC = "# stattable-cache v1"
+MAGIC = "# stattable-cache v2"
 _META = "# meta "
 _SHA = "# sha256 "
 
@@ -45,10 +46,22 @@ class CacheEntry:
     tool_version: str
 
 
-def _parse_header(magic: str, meta_line: str, sha_line: str) -> tuple[dict, str] | None:
-    """(meta, checksum) from the first three lines of a cache file; None
-    unless every line has its prefix and the meta object has the fields and
-    types save_table writes (a bool is never a count)."""
+def _header(kind: str, params: dict, n_max: int) -> str:
+    """The magic and meta lines save_table writes for this request."""
+    meta = {"kind": kind, "n_max": n_max, "params": params, "tool_version": TOOL_VERSION}
+    return f"{MAGIC}\n{_META}{json_text(meta)}\n"
+
+
+def inspect_cache_file(path) -> CacheEntry | None:
+    """Header-only view of a cache file; None unless the first three lines
+    have their prefixes and the meta object has the fields and types
+    save_table writes (a bool is never a count)."""
+    path = Path(path)
+    try:
+        with path.open(encoding="ascii") as fh:
+            magic, meta_line, sha_line = (fh.readline().rstrip("\n") for _ in range(3))
+    except (OSError, UnicodeDecodeError):
+        return None
     if magic != MAGIC or not meta_line.startswith(_META) or not sha_line.startswith(_SHA):
         return None
     try:
@@ -57,24 +70,11 @@ def _parse_header(magic: str, meta_line: str, sha_line: str) -> tuple[dict, str]
         return None
     if not isinstance(meta, dict) or not isinstance(meta.get("params"), dict):
         return None
-    strings = [meta.get(k) for k in ("kind", "route", "tool_version")]
+    strings = [meta.get("kind"), meta.get("tool_version")]
     ints = [meta.get("n_max"), *meta["params"].values()]
     if not all(type(v) is str for v in strings) or not all(type(v) is int for v in ints):
         return None
-    return meta, sha_line[len(_SHA) :]
-
-
-def inspect_cache_file(path) -> CacheEntry | None:
-    """Header-only view of a cache file; None if the header is unreadable."""
-    path = Path(path)
-    try:
-        with path.open(encoding="ascii") as fh:
-            header = _parse_header(*(fh.readline().rstrip("\n") for _ in range(3)))
-    except (OSError, UnicodeDecodeError):
-        return None
-    if header is None:
-        return None
-    meta, checksum = header
+    checksum = sha_line[len(_SHA) :]
     return CacheEntry(path, meta["kind"], meta["params"], meta["n_max"], checksum, meta["tool_version"])
 
 
@@ -96,24 +96,8 @@ def save_table(directory, table: StatTable) -> Path:
     except OSError as exc:
         raise CacheWriteError(f"cannot create cache dir {directory}: {exc}") from exc
     data = _data_block(table.values)
-    meta = {
-        "kind": table.kind,
-        "n_max": table.n_max,
-        "params": table.params,
-        "route": table.route,
-        "tool_version": TOOL_VERSION,
-    }
-    content = (
-        MAGIC
-        + "\n"
-        + _META
-        + json_text(meta)
-        + "\n"
-        + _SHA
-        + hashlib.sha256(data.encode("ascii")).hexdigest()
-        + "\n"
-        + data
-    )
+    checksum = hashlib.sha256(data.encode("ascii")).hexdigest()
+    content = f"{_header(table.kind, table.params, table.n_max)}{_SHA}{checksum}\n{data}"
     path = directory / cache_filename(table.kind, table.params, table.n_max)
     tmp = None
     try:
@@ -136,19 +120,10 @@ def load_table(directory, kind: str, params: dict, n_max: int) -> StatTable | No
         content = path.read_text(encoding="ascii")
     except (OSError, UnicodeDecodeError):
         return None
-    lines = content.split("\n", 3)
-    if len(lines) < 4:
-        return None
-    header = _parse_header(*lines[:3])
-    if header is None:
-        return None
-    meta, checksum = header
-    if meta["kind"] != kind or meta["n_max"] != n_max or meta["params"] != dict(params):
-        return None
-    if meta["tool_version"] != TOOL_VERSION:
-        return None
-    data = lines[3]
-    if hashlib.sha256(data.encode("ascii")).hexdigest() != checksum:
+    header = _header(kind, params, n_max)
+    data = content[len(header) + len(_SHA) + 65 :]  # past the sha line: 64 hex digits and "\n"
+    checksum = hashlib.sha256(data.encode("ascii")).hexdigest()
+    if not content.startswith(f"{header}{_SHA}{checksum}\n"):
         return None
     rows = data.strip("\n").split("\n")
     if not rows or rows[0] != "n,value":
@@ -164,7 +139,7 @@ def load_table(directory, kind: str, params: dict, n_max: int) -> StatTable | No
         return None
     if len(values) != n_max + 1:
         return None
-    return StatTable(kind, dict(params), values, n_max, route=meta["route"])
+    return StatTable(kind, dict(params), values)
 
 
 def get_table(

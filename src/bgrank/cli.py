@@ -61,6 +61,11 @@ from .turan import (
 
 CACHE_ENV = "BGRANK_CACHE_DIR"
 
+# a Sturm certificate's cost climbs steeply with the degree: onset over
+# d = 2..24 at the default --hi 500 takes about 0.5 s on a Xeon core, over
+# d = 2..55 several seconds
+ONSET_MAX_DEGREE = 24
+
 CANDIDATE_DIRECT = 6.0**-0.75
 CANDIDATE_PRINTED = math.sqrt(2.0) * 6.0**-0.75
 
@@ -283,8 +288,8 @@ def cmd_turan(args) -> RunReport:
 
 def cmd_onset(args) -> RunReport:
     max_d, hi = args.max_degree, args.hi
-    if max_d < 2 or hi < 0:
-        raise ValueError("onset needs --max-degree >= 2 and --hi >= 0")
+    if not 2 <= max_d <= ONSET_MAX_DEGREE or hi < 0:
+        raise ValueError(f"onset needs 2 <= --max-degree <= {ONSET_MAX_DEGREE} and --hi >= 0")
     seq = p2_values(hi + max_d + 1)
     rows = []
     for d in range(2, max_d + 1):

@@ -99,31 +99,45 @@ def p2_values(n_max: int) -> list[int]:
         return _P2[: n_max + 1]
 
 
+# cache kind -> label of the route that builds it.  "p-self-convolution" and
+# "roots-of-unity-orthogonality" name former routes (p2 is now a division by
+# (q;q)_oo, the class tables crank sums); they are kept so that report files
+# stay byte-identical.
+_ROUTES = {
+    "p": "pentagonal-recurrence",
+    "p2": "p-self-convolution",
+    "pbar_j": "eta-quotient-shift",
+    "pbar_jab": "roots-of-unity-orthogonality",
+}
+
+
 @dataclass
 class StatTable:
-    """A cached integer table with enough metadata to identify how it was built."""
+    """A cached integer table: its kind, selector params and values at n = 0..n_max."""
 
-    kind: str  # "p" | "p2" | "pbar_j" | "pbar_jab"
+    kind: str  # a key of _ROUTES
     params: dict[str, int]
     values: list[int]
-    n_max: int
-    route: str = ""
 
     def __post_init__(self):
-        if len(self.values) != self.n_max + 1:
-            raise ValueError("values must have length n_max + 1")
         if any(v < 0 for v in self.values):
             raise ValueError("tables hold counts; negative value found")
 
+    @property
+    def n_max(self) -> int:
+        return len(self.values) - 1
+
+    @property
+    def route(self) -> str:
+        return _ROUTES[self.kind]
+
 
 def p_table(n_max: int) -> StatTable:
-    return StatTable("p", {}, p_values(n_max), n_max, route="pentagonal-recurrence")
+    return StatTable("p", {}, p_values(n_max))
 
 
 def p2_table(n_max: int) -> StatTable:
-    # the label of the former self-convolution route, kept so that report
-    # files and cache headers stay byte-identical
-    return StatTable("p2", {}, p2_values(n_max), n_max, route="p-self-convolution")
+    return StatTable("p2", {}, p2_values(n_max))
 
 
 def pbar_eta(j: int, n: int) -> int:
@@ -155,14 +169,12 @@ def pbar_values(j: int, n_max: int) -> list[int]:
 
 
 def pbar_table(j: int, n_max: int) -> StatTable:
-    return StatTable("pbar_j", {"j": j}, pbar_values(j, n_max), n_max, route="eta-quotient-shift")
+    return StatTable("pbar_j", {"j": j}, pbar_values(j, n_max))
 
 
 def ranks_with_support(n_max: int) -> list[int]:
     """All ranks j (both signs) whose 2-core fits inside n_max."""
-    out = [j for j in range(-n_max, n_max + 1) if 0 <= bg_core_size(j) <= n_max]
-    out.sort(key=lambda j: (bg_core_size(j), -j))
-    return out
+    return [j for j in range(-n_max, n_max + 1) if bg_core_size(j) <= n_max]
 
 
 # ---------------------------------------------------------------------------
@@ -236,15 +248,7 @@ def pbar_abn_values(j: int, b: int, n_max: int) -> list[list[int]]:
 def pbar_abn_table(j: int, a: int, b: int, n_max: int) -> StatTable:
     if not 0 <= a < b:
         raise ValueError("a must lie in [0, b)")
-    return StatTable(
-        "pbar_jab",
-        {"j": j, "a": a, "b": b},
-        pbar_abn_values(j, b, n_max)[a],
-        n_max,
-        # the label of the former character-sum route (now crank sums), kept
-        # so that report files and cache headers stay byte-identical
-        route="roots-of-unity-orthogonality",
-    )
+    return StatTable("pbar_jab", {"j": j, "a": a, "b": b}, pbar_abn_values(j, b, n_max)[a])
 
 
 # ---------------------------------------------------------------------------

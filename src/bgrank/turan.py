@@ -316,15 +316,13 @@ def turan_report(seq: Sequence[int], order, index_range: tuple[int, int]) -> Tur
     return TuranReport(holds=not failures, failures=tuple(failures), equalities=tuple(equalities))
 
 
-def hyperbolicity_onset(seq: Sequence[int], d: int, hi: int, lo: int = 0) -> int | None:
-    """Smallest m0 >= lo with J^{d,m} hyperbolic for every m in [m0, hi]; None
-    if even m = hi fails or the window is empty.  Exact Sturm certificates,
-    scanned down from hi to the first failure."""
-    if lo > hi:
+def hyperbolicity_onset(seq: Sequence[int], d: int, hi: int) -> int | None:
+    """Smallest m0 >= 0 with J^{d,m} hyperbolic for every m in [m0, hi]; None
+    if even m = hi fails or hi < 0.  Exact Sturm certificates, scanned down
+    from hi to the first failure."""
+    if hi < 0:
         return None
-    if lo < 0:
-        raise ValueError("lo must be >= 0")
-    for m in range(hi, lo - 1, -1):
+    for m in range(hi, -1, -1):
         if not is_hyperbolic(jensen_poly(seq, d, m)):
             return None if m == hi else m + 1
-    return lo
+    return 0

@@ -157,7 +157,7 @@ def test_minus_root_angles_exact():
 
 
 def test_arc_dominance_small():
-    rep = arc_dominance_check(3, slopes=(2,), xs=(0.05,))
+    rep = arc_dominance_check(3)
     assert all(c.holds for c in rep.arg_checks)
     assert all(s.ratio < 1 for s in rep.samples)
     with pytest.raises(ValueError):

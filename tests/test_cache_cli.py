@@ -87,26 +87,30 @@ def test_cache_filename_stable():
 
 
 def test_cache_detects_corruption(tmp_path):
-    table = p_table(50)
+    table = p_table(30)
     path = save_table(tmp_path, table)
-    raw = bytearray(path.read_bytes())
-    raw[-3] ^= 0x01  # flip one bit in the last value
-    path.write_bytes(bytes(raw))
-    assert load_table(tmp_path, "p", {}, 50) is None
-    # get_table recomputes and repairs the file
-    rebuilt = get_table("p", {}, 50, lambda: p_table(50), tmp_path)
-    assert rebuilt.values == table.values
-    assert load_table(tmp_path, "p", {}, 50) is not None
+    original = path.read_bytes()
+    variants = []
+    for i in range(len(original)):
+        for byte in (original[i] ^ 0x01, 0xFF):
+            variants.append(original[:i] + bytes([byte]) + original[i + 1 :])
+    # the previous file format
+    variants.append(b"# stattable-cache v1\n" + original.split(b"\n", 1)[1])
+    for raw in variants:
+        path.write_bytes(raw)
+        assert load_table(tmp_path, "p", {}, 30) is None, raw
+        # get_table recomputes and repairs the file
+        assert get_table("p", {}, 30, lambda: p_table(30), tmp_path) == table
+        assert path.read_bytes() == original
 
 
 def test_cache_misses(tmp_path):
     assert load_table(tmp_path, "p", {}, 10) is None
-    table = StatTable("pbar_j", {"j": 2}, [0] * 11, 10, route="test")
+    table = StatTable("pbar_j", {"j": 2}, [0] * 11)
     save_table(tmp_path, table)
     assert load_table(tmp_path, "pbar_j", {"j": 2}, 11) is None  # different n_max
     assert load_table(tmp_path, "pbar_j", {"j": 3}, 10) is None  # different params
-    got = load_table(tmp_path, "pbar_j", {"j": 2}, 10)
-    assert got is not None and got.route == "test"
+    assert load_table(tmp_path, "pbar_j", {"j": 2}, 10) == table
 
 
 def test_cache_rejects_other_tool_version(tmp_path):
@@ -122,7 +126,7 @@ def test_cache_rejects_other_tool_version(tmp_path):
 def _meta(**changes):
     """The meta object save_table writes for p_table(10), with fields changed
     (None drops the field)."""
-    meta = {"kind": "p", "n_max": 10, "params": {}, "route": "pentagonal-recurrence", "tool_version": TOOL_VERSION}
+    meta = {"kind": "p", "n_max": 10, "params": {}, "tool_version": TOOL_VERSION}
     meta.update(changes)
     return {k: v for k, v in meta.items() if v is not None}
 
@@ -137,7 +141,6 @@ def _meta(**changes):
         (10, json.dumps(_meta(n_max=10.0))),
         (1, json.dumps(_meta(n_max=True))),
         (10, json.dumps(_meta(kind=None))),
-        (10, json.dumps(_meta(route=5))),
         (10, json.dumps(_meta(tool_version=None))),
         (10, "[" * 100000 + "]" * 100000),
     ],
@@ -149,7 +152,6 @@ def _meta(**changes):
         "n_max-float",
         "n_max-bool",
         "kind-missing",
-        "route-int",
         "tool_version-missing",
         "nested-too-deep",
     ],
@@ -277,6 +279,7 @@ def test_cli_negative_n_max_is_argument_error(argv, capsys):
         (["jensen", "--d", "-5", "--n", "1", "--renormalized"], "jensen needs --d >= 1 and --n >= 0"),
         (["asympt", "--n-list", "4", "--b", "0"], "b must be >= 1"),
         (["asympt", "--n-list", "4", "--b", "-1"], "b must be >= 1"),
+        (["onset", "--max-degree", "25"], "onset needs 2 <= --max-degree <= 24 and --hi >= 0"),
     ],
 )
 def test_cli_out_of_range_flag_is_named(argv, message, capsys):
@@ -360,14 +363,29 @@ def test_cli_onset(capsys):
     assert main(["--no-cache", "onset", "--hi", "-1"]) == 2
 
 
-def test_cli_uses_cache_dir(tmp_path):
-    code = main(["--cache-dir", str(tmp_path), "table", "--stat", "p", "--n-max", "40"])
-    assert code == 0
-    assert (tmp_path / "p_N40.csv").exists()
-    # a second run must serve the cached file (mtime unchanged)
-    before = (tmp_path / "p_N40.csv").stat().st_mtime_ns
-    assert main(["--cache-dir", str(tmp_path), "table", "--stat", "p", "--n-max", "40"]) == 0
-    assert (tmp_path / "p_N40.csv").stat().st_mtime_ns == before
+@pytest.mark.parametrize(
+    "selectors",
+    [
+        ["--stat", "p"],
+        ["--stat", "p2"],
+        ["--stat", "pbar", "--j", "0"],
+        ["--stat", "pbar-ab", "--j", "0", "--a", "1", "--b", "5"],
+    ],
+    ids=["p", "p2", "pbar", "pbar-ab"],
+)
+def test_cli_uses_cache_dir(tmp_path, capsys, selectors):
+    # the kind cli._STATS looks up must be the kind the builder files under,
+    # or every run misses and silently rewrites the file
+    argv = ["--cache-dir", str(tmp_path), "--format", "json", "table", *selectors, "--n-max", "40"]
+    assert main(argv) == 0
+    miss = capsys.readouterr().out
+    (path,) = tmp_path.iterdir()
+    before = path.stat()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == miss
+    after = path.stat()
+    # a hit leaves the file alone: a rewrite renames a new inode into place
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
 
 def test_cli_validate(capsys):

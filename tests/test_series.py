@@ -143,8 +143,9 @@ def test_stat_tables():
     assert t2.values[4] == 20
     tb = pbar_table(0, 12)
     assert tb.values[12] == 65 and tb.params == {"j": 0}
+    assert (tb.n_max, tb.route) == (12, "eta-quotient-shift")
     with pytest.raises(ValueError):
-        StatTable("p", {}, [1, 2], 5)
+        StatTable("p", {}, [1, -2])
 
 
 # ---------------------------------------------------------------------------
