@@ -145,22 +145,12 @@ class WrightParams:
             raise ValueError("arc_factor must be >= 1")
 
 
-def wright_coefficient(j: int, r: int, A: float, B: float) -> float:
-    """c_{j,r} of the expansion: (-1/(4 sqrt A))^r sqrt(A)^(j+B+1/2) / (2 sqrt pi)
-    times Gamma(j+B+3/2+r) / (r! Gamma(j+B+3/2-r)).
-
-    1/Gamma(non-positive integer) is taken as 0, so those c_{j,r} vanish.
-    """
+def wright_coefficient(A: float, B: float) -> float:
+    """Leading coefficient c_{0,0} = sqrt(A)^(B+1/2) / (2 sqrt pi) of the
+    expansion."""
     if A <= 0:
         raise ValueError("A must be positive")
-    if j < 0 or r < 0:
-        raise ValueError("j and r must be >= 0")
-    down = j + B + 1.5 - r
-    if down <= 0 and abs(down - round(down)) < 1e-9:
-        return 0.0
-    up = j + B + 1.5 + r
-    ratio = math.gamma(up) / (math.factorial(r) * math.gamma(down))
-    return (-0.25 / math.sqrt(A)) ** r * math.sqrt(A) ** (j + B + 0.5) / (2.0 * math.sqrt(math.pi)) * ratio
+    return math.sqrt(A) ** (B + 0.5) / (2.0 * math.sqrt(math.pi))
 
 
 def wright_asymptotic(n: int, params: WrightParams) -> float:
@@ -168,7 +158,7 @@ def wright_asymptotic(n: int, params: WrightParams) -> float:
     if n < 1:
         raise ValueError("n must be >= 1")
     envelope = params.arc_factor * n ** ((-2 * params.B - 3) / 4) * math.exp(2 * math.sqrt(params.A * n))
-    return envelope * (params.alpha * wright_coefficient(0, 0, params.A, params.B))
+    return envelope * (params.alpha * wright_coefficient(params.A, params.B))
 
 
 HR_PARAMS = WrightParams(A=math.pi**2 / 6, B=0.5, alpha=1 / math.sqrt(2 * math.pi), arc_factor=1)

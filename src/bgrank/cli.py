@@ -433,7 +433,7 @@ def _validation_checks():
         return worst <= 1e-10, f"max inversion-identity residual {worst:.2e}"
 
     def calibration():
-        got = HR_PARAMS.alpha * wright_coefficient(0, 0, HR_PARAMS.A, HR_PARAMS.B)
+        got = HR_PARAMS.alpha * wright_coefficient(HR_PARAMS.A, HR_PARAMS.B)
         want = 1.0 / (4.0 * math.sqrt(3.0))
         return abs(got - want) <= 1e-12, f"|alpha0*c00 - 1/(4 sqrt 3)| = {abs(got - want):.2e}"
 

@@ -43,12 +43,6 @@ class Partition:
     def size(self) -> int:
         return sum(self.parts)
 
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
 
 EMPTY = Partition(())
 

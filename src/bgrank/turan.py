@@ -10,12 +10,13 @@ Conventions (fixed here, documented once):
 * hyperbolic means every root real, counted with multiplicity.
 
 Polynomials are coefficient lists, low degree first, and a Sturm chain is a
-tuple of integer coefficient tuples.  Root counting is exact and uses
-integers only: rational input is scaled once by the lcm of its denominators,
-and the Sturm chain is a primitive pseudo-remainder sequence, each member a
-positive multiple of the classical one over the rationals.
-Its last member is gcd(p, p'), which the count of roots with multiplicity
-recurses on.  The renormalized-limit comparisons are floating point.
+tuple of integer coefficient tuples.  Root counting is exact and takes
+integer coefficients only (anything else raises TypeError).  The Sturm chain
+is a primitive pseudo-remainder sequence, each member a positive multiple of
+the classical one over the rationals, and its last member is g = gcd(p, p').
+p has deg p - deg g distinct complex roots, so one chain certifies
+hyperbolicity: p is hyperbolic iff the chain counts that many distinct real
+roots.  The renormalized-limit comparisons are floating point.
 """
 
 from __future__ import annotations
@@ -39,17 +40,6 @@ def _trim(cs: list[int]) -> list[int]:
 
 def _degree(cs: Sequence[int]) -> int:
     return len(cs) - 1
-
-
-def _to_ints(coeffs: Sequence) -> list[int]:
-    """The coefficients times the positive lcm of their denominators."""
-    try:
-        cs = [operator.index(c) for c in coeffs]
-    except TypeError:
-        fr = [Fraction(c) for c in coeffs]
-        den = math.lcm(*(f.denominator for f in fr))
-        cs = [f.numerator * (den // f.denominator) for f in fr]
-    return _trim(cs)
 
 
 def _prim(cs: list[int]) -> list[int]:
@@ -90,7 +80,7 @@ def sturm_chain(coeffs: Sequence) -> tuple[tuple[int, ...], ...]:
     classical Sturm member (p, p', negated remainders over the rationals), so
     the sign variations are the same.  The last member is gcd(p, p') up to a
     constant."""
-    p = _to_ints(coeffs)
+    p = _trim([operator.index(c) for c in coeffs])
     if not p:
         raise ValueError("zero polynomial has no Sturm chain")
     chain = [_prim(p)]
@@ -120,16 +110,6 @@ def real_root_count(coeffs: Sequence) -> int:
     return _distinct_real_roots(sturm_chain(coeffs))
 
 
-def _real_roots_with_multiplicity(p: list[int]) -> int:
-    """Real roots of p counted with multiplicity: the distinct ones plus
-    those of g = gcd(p, p'), whose roots are the repeated roots of p, each
-    with multiplicity one less."""
-    if _degree(p) <= 0:
-        return 0
-    chain = sturm_chain(p)
-    return _distinct_real_roots(chain) + _real_roots_with_multiplicity(list(chain[-1]))
-
-
 # ---------------------------------------------------------------------------
 # Jensen polynomials
 
@@ -147,11 +127,10 @@ def jensen_poly(seq: Sequence[int], d: int, n: int) -> tuple[int, ...]:
 
 
 def is_hyperbolic(coeffs: Sequence) -> bool:
-    """True iff every root is real (counted with multiplicity); exact."""
-    p = _to_ints(coeffs)
-    if not p:
-        raise ValueError("zero polynomial")
-    return _real_roots_with_multiplicity(p) == _degree(p)
+    """True iff every root is real (counted with multiplicity); exact, from
+    one Sturm chain, whose first and last members are p and gcd(p, p')."""
+    chain = sturm_chain(coeffs)
+    return _distinct_real_roots(chain) == len(chain[0]) - len(chain[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +242,7 @@ class TuranReport:
     equalities: tuple
 
 
-def turan_report(seq: Sequence[int], order, index_range: tuple[int, int]) -> TuranReport:
+def turan_report(seq: Sequence[int], order: str, index_range: tuple[int, int]) -> TuranReport:
     """Scan the order-2 or order-3 inequality, or pairwise superadditivity.
 
     order 2 at m:  alpha(m)^2 >= alpha(m-1) alpha(m+1)        (m in [lo, hi])
@@ -273,7 +252,6 @@ def turan_report(seq: Sequence[int], order, index_range: tuple[int, int]) -> Tur
 
     All comparisons are exact integer arithmetic.
     """
-    order = str(order)
     lo, hi = index_range
     if lo > hi:
         raise ValueError("empty range")

@@ -101,7 +101,7 @@ def test_exactness_anchors():
 
 
 def test_wright_calibration():
-    constant = HR_PARAMS.alpha * wright_coefficient(0, 0, HR_PARAMS.A, HR_PARAMS.B)
+    constant = HR_PARAMS.alpha * wright_coefficient(HR_PARAMS.A, HR_PARAMS.B)
     err = abs(constant - 1.0 / (4.0 * math.sqrt(3.0)))
     assert err <= 1e-12
     ratio = wright_asymptotic(5000, HR_PARAMS) / p_values(5000)[5000]

@@ -92,25 +92,14 @@ def test_f1_major_arc_finite_off_axis():
 
 def test_wright_coefficient_anchors():
     A = PI**2 / 6
-    assert wright_coefficient(0, 0, A, 0.5) == pytest.approx(math.sqrt(PI) / (2 * math.sqrt(6)), rel=1e-13)
-    assert wright_coefficient(0, 0, A, 1.0) == pytest.approx(PI / (2 * 6**0.75), rel=1e-13)
-    # r = 0 reduces to the bare power for any j
-    for j in range(4):
-        want = math.sqrt(A) ** (j + 1.0 + 0.5) / (2 * math.sqrt(PI))
-        assert wright_coefficient(j, 0, A, 1.0) == pytest.approx(want, rel=1e-13)
-
-
-def test_wright_coefficient_pole_convention():
-    # j + B + 3/2 - r a non-positive integer -> coefficient vanishes
-    assert wright_coefficient(0, 2, PI**2 / 6, 0.5) == 0.0
-    assert wright_coefficient(0, 3, PI**2 / 6, 0.5) == 0.0
-    assert wright_coefficient(0, 2, PI**2 / 6, 1.0) != 0.0
+    assert wright_coefficient(A, 0.5) == pytest.approx(math.sqrt(PI) / (2 * math.sqrt(6)), rel=1e-13)
+    assert wright_coefficient(A, 1.0) == pytest.approx(PI / (2 * 6**0.75), rel=1e-13)
     with pytest.raises(ValueError):
-        wright_coefficient(0, 0, -1.0, 0.5)
+        wright_coefficient(-1.0, 0.5)
 
 
 def test_hardy_ramanujan_calibration():
-    got = HR_PARAMS.alpha * wright_coefficient(0, 0, HR_PARAMS.A, HR_PARAMS.B)
+    got = HR_PARAMS.alpha * wright_coefficient(HR_PARAMS.A, HR_PARAMS.B)
     assert abs(got - 1 / (4 * math.sqrt(3))) <= 1e-12
 
 
@@ -123,7 +112,7 @@ def test_wright_vs_exact_p():
 
 def test_wright_vs_exact_rank_counts_monotone(p2_big):
     params = rank_count_params(1)
-    assert params.alpha * wright_coefficient(0, 0, params.A, params.B) * 2 == pytest.approx(
+    assert params.alpha * wright_coefficient(params.A, params.B) * 2 == pytest.approx(
         6**-0.75, rel=1e-13
     )
     errors = []
