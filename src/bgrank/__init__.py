@@ -23,7 +23,6 @@ from .partitions import (
     littlewood_compose,
     littlewood_decompose,
     rank_census,
-    staircase,
     two_quotient_rank,
 )
 from .series import (
@@ -41,7 +40,6 @@ from .series import (
     pbar_values,
 )
 from .asymptotics import (
-    ArcDominanceReport,
     HR_PARAMS,
     WrightParams,
     arc_dominance_check,
@@ -54,19 +52,16 @@ from .asymptotics import (
     wright_coefficient,
 )
 from .turan import (
-    RenormSeq,
     TuranReport,
     hermite,
     hermite_distance,
     hyperbolicity_onset,
     is_hyperbolic,
     jensen_poly,
-    real_root_count,
     renorm_sequences_step2,
     renormalized_jensen,
     sturm_chain,
     turan_report,
-    wright_renorm_pair,
 )
 from .cache import get_table, load_table, save_table
 from .reporting import RunReport

@@ -192,12 +192,6 @@ class ArcSample:
     ok: bool
 
 
-@dataclass(frozen=True)
-class ArcDominanceReport:
-    arg_checks: tuple[ArgInequalityCheck, ...]
-    samples: tuple[ArcSample, ...]
-
-
 def minus_root_angle_over_pi(b: int, k: int) -> Fraction:
     """arg(-w^k)/pi for w = e^{2 pi i / b}, as an exact rational in (-1, 1]."""
     r = Fraction((b + 2 * k) % (2 * b), b)
@@ -210,7 +204,7 @@ _ARC_SLOPES = (2, 5)
 _ARC_XS = (0.05, 0.02)
 
 
-def arc_dominance_check(b: int) -> ArcDominanceReport:
+def arc_dominance_check(b: int) -> tuple[list[ArgInequalityCheck], list[ArcSample]]:
     """Exact angle inequality per root plus sampled off-axis magnitudes.
 
     (i) verifies pi^2 - 3 arg(-w^k)^2 < 2 pi^2 in exact rational arithmetic
@@ -233,4 +227,4 @@ def arc_dominance_check(b: int) -> ArcDominanceReport:
             for a in range(b):
                 ratio = abs(minor[a]) / abs(major[a])
                 samples.append(ArcSample(a=a, slope=slope, x=x, ratio=ratio, ok=ratio < 1.0))
-    return ArcDominanceReport(arg_checks=tuple(arg_checks), samples=tuple(samples))
+    return arg_checks, samples

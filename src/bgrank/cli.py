@@ -223,11 +223,7 @@ def cmd_jensen(args) -> RunReport:
     seq = p2_values(n + d + 1)
     if args.renormalized:
         coeffs = renormalized_jensen(seq, d, n, renorm_sequences_step2(n))
-        target = hermite(d)
-        rows = [
-            {"k": k, "coefficient": c, "hermite": target[k] if k < len(target) else 0}
-            for k, c in enumerate(coeffs)
-        ]
+        rows = [{"k": k, "coefficient": c, "hermite": h} for k, (c, h) in enumerate(zip(coeffs, hermite(d)))]
         dist = hermite_distance(coeffs, d)
         report = RunReport(
             command="jensen",
@@ -308,9 +304,9 @@ def cmd_onset(args) -> RunReport:
 
 
 def cmd_arcs(args) -> RunReport:
-    rep = arc_dominance_check(args.b)
+    arg_checks, samples = arc_dominance_check(args.b)
     rows = []
-    for c in rep.arg_checks:
+    for c in arg_checks:
         rows.append(
             {
                 "kind": "angle",
@@ -322,7 +318,7 @@ def cmd_arcs(args) -> RunReport:
                 "ok": c.holds,
             }
         )
-    for s in rep.samples:
+    for s in samples:
         rows.append(
             {
                 "kind": "sample",
@@ -340,8 +336,8 @@ def cmd_arcs(args) -> RunReport:
         columns=("kind", "k", "a", "slope", "x", "value", "ok"),
         rows=rows,
     )
-    report.add_check("angle-inequalities", all(c.holds for c in rep.arg_checks), "exact rational arithmetic")
-    report.add_check("off-axis-smaller", all(s.ok for s in rep.samples), "sampled |H| ratios < 1")
+    report.add_check("angle-inequalities", all(c.holds for c in arg_checks), "exact rational arithmetic")
+    report.add_check("off-axis-smaller", all(s.ok for s in samples), "sampled |H| ratios < 1")
     return report
 
 

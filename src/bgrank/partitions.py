@@ -47,13 +47,6 @@ class Partition:
 EMPTY = Partition(())
 
 
-def staircase(k: int) -> Partition:
-    """(k, k-1, ..., 1); these are exactly the 2-core partitions."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return Partition(tuple(range(k, 0, -1)))
-
-
 def bg_core_size(j: int) -> int:
     """Size j(2j-1) of the 2-core forced by alternating-parity rank j."""
     return j * (2 * j - 1)

@@ -18,21 +18,20 @@ Three independent exact routes to the same counts live here:
 ``series_invert`` and ``euler_factor_product`` are the O(N^2) schoolbook
 oracle behind the validation suite's series-inverse check.  Series are plain
 coefficient lists, low degree first; all coefficients are arbitrary-precision
-integers and floats never enter.
+integers and floats never enter.  The memos (p, p2 and the residue rows) are
+process-wide and take no lock: the package starts no thread, so callers that
+do must not grow them from two threads at once.
 """
 
 from __future__ import annotations
 
 import operator
-import threading
 from bisect import bisect_right
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Sequence
 
 from .partitions import bg_core_size
 
-_LOCK = threading.RLock()
 _P: list[int] = [1]
 _P2: list[int] = [1]
 
@@ -70,33 +69,22 @@ def _grow_quotient(out: list[int], src: Sequence[int], n_max: int) -> None:
         out.append(acc + src[n] if n < len(src) else acc)
 
 
-def _grow_p(n_max: int) -> None:
-    with _LOCK:
-        _grow_quotient(_P, (1,), n_max)
-
-
 def p_values(n_max: int) -> list[int]:
     """p(0..n_max) by the pentagonal-number recurrence."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    _grow_p(n_max)
-    with _LOCK:
-        return _P[: n_max + 1]
-
-
-def _grow_p2(n_max: int) -> None:
-    _grow_p(n_max)
-    with _LOCK:
-        _grow_quotient(_P2, _P, n_max)
+    _grow_quotient(_P, (1,), n_max)
+    return _P[: n_max + 1]
 
 
 def p2_values(n_max: int) -> list[int]:
     """Coefficients of 1/(q;q)_oo^2 (pairs of partitions): p divided by (q;q)_oo."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    _grow_p2(n_max)
-    with _LOCK:
-        return _P2[: n_max + 1]
+    # p first: entries of _P past its end would count as zero
+    _grow_quotient(_P, (1,), n_max)
+    _grow_quotient(_P2, _P, n_max)
+    return _P2[: n_max + 1]
 
 
 # cache kind -> label of the route that builds it.  "p-self-convolution" and
@@ -152,7 +140,8 @@ def pbar_eta(j: int, n: int) -> int:
     if n < shift or (n - shift) % 2:
         return 0
     m = (n - shift) // 2
-    _grow_p2(m)
+    _grow_quotient(_P, (1,), m)
+    _grow_quotient(_P2, _P, m)
     return _P2[m]
 
 
@@ -180,11 +169,9 @@ def ranks_with_support(n_max: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # congruence-class tables from crank sums over p2
 
-_PBAR_AB_MAX = 32
 # b -> Q-rows built for the largest Q-degree asked so far (the rank j only
 # shifts them by its 2-core); smaller requests are served from a prefix.
-# Least recently used first.
-_PBAR_AB: OrderedDict[int, tuple[list[int], ...]] = OrderedDict()
+_PBAR_AB: dict[int, tuple[list[int], ...]] = {}
 
 
 def _residue_rows(b: int, nq: int) -> tuple[list[int], ...]:
@@ -232,14 +219,9 @@ def pbar_abn_values(j: int, b: int, n_max: int) -> list[list[int]]:
     if n_max < shift:
         return tables
     nq = (n_max - shift) // 2
-    with _LOCK:
-        rows = _PBAR_AB.get(b)
-        if rows is None or len(rows[0]) <= nq:
-            rows = _residue_rows(b, nq)
-        _PBAR_AB[b] = rows
-        _PBAR_AB.move_to_end(b)
-        if len(_PBAR_AB) > _PBAR_AB_MAX:
-            _PBAR_AB.popitem(last=False)
+    rows = _PBAR_AB.get(b)
+    if rows is None or len(rows[0]) <= nq:
+        rows = _PBAR_AB[b] = _residue_rows(b, nq)
     for table, row in zip(tables, rows):
         table[shift::2] = row[: nq + 1]
     return tables

@@ -105,11 +105,6 @@ def _distinct_real_roots(chain: Sequence[Sequence[int]]) -> int:
     return variations(True) - variations(False)
 
 
-def real_root_count(coeffs: Sequence) -> int:
-    """Number of distinct real roots, by exact Sturm sign variations."""
-    return _distinct_real_roots(sturm_chain(coeffs))
-
-
 # ---------------------------------------------------------------------------
 # Jensen polynomials
 
@@ -137,46 +132,29 @@ def is_hyperbolic(coeffs: Sequence) -> bool:
 # renormalization toward the Hermite limit
 
 
-@dataclass(frozen=True)
-class RenormSeq:
-    """Recentring pair: exponential rate A(n) and width delta(n) > 0."""
+def renorm_sequences_step2(n: int) -> tuple[float, float]:
+    """Recentring pair (A, delta) for reading a two-arc Wright-shaped count at
+    every second argument: the first and (negated half) second
+    log-derivatives at n of 2 sqrt(g n) - (5/4) log n, g = pi^2/3.
 
-    A_of_n: float
-    delta_of_n: float
-
-    def __post_init__(self):
-        if not self.delta_of_n > 0:
-            raise ValueError("delta must be positive")
-
-
-def wright_renorm_pair(growth: float, power: float, n: int) -> RenormSeq:
-    """Recentring pair for log alpha(n) ~ 2 sqrt(growth * n) + power * log n + C:
-    first and (negated half) second log-derivatives at n."""
+    Equivalently 2*A(2n) and 2*delta(2n) from the leading-order pair
+    A(m) = pi/sqrt(6m), delta(m)^2 = pi sqrt(2/3)/8 * m^(-3/2) at m = 2n, with
+    the exact 1/n correction from the n^(-5/4) prefactor folded in; the
+    correction is what makes desk-scale Hermite convergence visible.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if growth <= 0:
-        raise ValueError("growth must be positive")
+    growth, power = math.pi**2 / 3.0, -1.25
     a = math.sqrt(growth / n) + power / n
     d2 = math.sqrt(growth) / (4.0 * n**1.5) + power / (2.0 * n * n)
     if d2 <= 0:
-        raise ValueError("second-order coefficient is not positive at this n")
-    return RenormSeq(A_of_n=a, delta_of_n=math.sqrt(d2))
+        raise ValueError(f"second-order coefficient is not positive at n = {n}")
+    return a, math.sqrt(d2)
 
 
-def renorm_sequences_step2(n: int) -> RenormSeq:
-    """Pair matched to reading a two-arc Wright-shaped count at every second
-    argument: growth pi^2/3 and power -5/4 in the halved variable.
-
-    Equivalently 2*A(2n) and 2*delta(2n) from the leading-order pair
-    wright_renorm_pair(pi^2/6, 0, 2n), with the exact 1/n correction coming
-    from the n^{-5/4} prefactor folded in; the correction is what makes
-    desk-scale Hermite convergence visible.
-    """
-    return wright_renorm_pair(math.pi**2 / 3.0, -1.25, n)
-
-
-def renormalized_jensen(seq: Sequence[int], d: int, n: int, rs: RenormSeq) -> list[float]:
-    """Coefficients (low -> high) of delta^{-d}/alpha(n) * J((delta X - 1)/e^A).
+def renormalized_jensen(seq: Sequence[int], d: int, n: int, rs: tuple[float, float]) -> list[float]:
+    """Coefficients (low -> high) of delta^{-d}/alpha(n) * J((delta X - 1)/e^A)
+    for the pair rs = (A, delta).
 
     The integer Jensen coefficients are divided by alpha(n) exactly and only
     then rounded; the composition itself is floating point, and a ValueError
@@ -187,8 +165,8 @@ def renormalized_jensen(seq: Sequence[int], d: int, n: int, rs: RenormSeq) -> li
     if any(v <= 0 for v in window):
         raise ValueError("sequence must be positive on [n, n+d]")
     alpha0 = seq[n]
-    e_a = math.exp(rs.A_of_n)
-    delta = rs.delta_of_n
+    a, delta = rs
+    e_a = math.exp(a)
     overflow = f"renormalized Jensen polynomial at d = {d}, n = {n} overflows float64"
     out = []
     try:

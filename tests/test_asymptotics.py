@@ -146,9 +146,9 @@ def test_minus_root_angles_exact():
 
 
 def test_arc_dominance_small():
-    rep = arc_dominance_check(3)
-    assert all(c.holds for c in rep.arg_checks)
-    assert all(s.ratio < 1 for s in rep.samples)
+    arg_checks, samples = arc_dominance_check(3)
+    assert all(c.holds for c in arg_checks)
+    assert all(s.ratio < 1 for s in samples)
     with pytest.raises(ValueError):
         arc_dominance_check(1)
 

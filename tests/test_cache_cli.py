@@ -280,6 +280,7 @@ def test_cli_negative_n_max_is_argument_error(argv, capsys):
         (["asympt", "--n-list", "4", "--b", "0"], "b must be >= 1"),
         (["asympt", "--n-list", "4", "--b", "-1"], "b must be >= 1"),
         (["onset", "--max-degree", "25"], "onset needs 2 <= --max-degree <= 24 and --hi >= 0"),
+        (["jensen", "--d", "2", "--n", "1", "--renormalized"], "second-order coefficient is not positive at n = 1"),
     ],
 )
 def test_cli_out_of_range_flag_is_named(argv, message, capsys):

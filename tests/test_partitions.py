@@ -17,7 +17,6 @@ from bgrank.partitions import (
     littlewood_compose,
     littlewood_decompose,
     rank_census,
-    staircase,
     two_quotient_rank,
 )
 from bgrank.series import p_values
@@ -84,7 +83,7 @@ def test_is_t_core():
 
 def test_staircases_are_2_cores():
     for k in range(7):
-        assert is_t_core(staircase(k), 2)
+        assert is_t_core(Partition(tuple(range(k, 0, -1))), 2)
 
 
 def test_littlewood_examples():
@@ -160,7 +159,7 @@ def test_bg_rank_determines_2core():
             assert core.size == bg_core_size(j)
             # 2-cores are staircases
             k = len(core.parts)
-            assert core == staircase(k)
+            assert core == Partition(tuple(range(k, 0, -1)))
 
 
 def test_size_parity_matches_rank():

@@ -162,7 +162,7 @@ def test_orthogonality_failure_is_loud(monkeypatch):
         values[4] += 1
         return values
 
-    monkeypatch.setattr(series_mod, "_PBAR_AB", series_mod.OrderedDict())
+    monkeypatch.setattr(series_mod, "_PBAR_AB", {})
     monkeypatch.setattr(series_mod, "pbar_values", off_by_one)
     with pytest.raises(OrthogonalityError, match="pbar"):
         series_mod.pbar_abn_values(0, 5, 8)
@@ -199,6 +199,29 @@ def test_pbar_abn_serves_prefix_of_larger_build():
     small = pbar_abn_values(1, 7, 41)
     assert small == [row[:42] for row in large]
     assert [row[:121] for row in pbar_abn_values(1, 7, 201)] == large
+
+
+def test_pbar_abn_memo_builds_once_per_q_degree(monkeypatch):
+    import bgrank.series as series_mod
+
+    builds = []
+    real = series_mod._residue_rows
+
+    def spy(b, nq):
+        builds.append((b, nq))
+        return real(b, nq)
+
+    monkeypatch.setattr(series_mod, "_PBAR_AB", {})
+    monkeypatch.setattr(series_mod, "_residue_rows", spy)
+    # the rank only shifts the rows and smaller n are prefixes: one build
+    for n in (200, 150, 91, 40, 7, 0):
+        for j in (0, 1, -1, 2):
+            pbar_abn_values(j, 7, n)
+    assert builds == [(7, 100)]
+    # a larger Q-degree rebuilds once, then serves every rank from it
+    for j in (0, 1, -1, 2):
+        pbar_abn_values(j, 7, 260)
+    assert builds == [(7, 100), (7, 130)]
 
 
 @given(j=st.integers(-3, 3), b=st.integers(2, 12), data=st.data())

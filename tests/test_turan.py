@@ -11,17 +11,15 @@ from hypothesis import strategies as st
 from bgrank import turan
 from bgrank.series import p2_values
 from bgrank.turan import (
-    RenormSeq,
+    _distinct_real_roots,
     hermite,
     hyperbolicity_onset,
     is_hyperbolic,
     jensen_poly,
-    real_root_count,
     renorm_sequences_step2,
     renormalized_jensen,
     sturm_chain,
     turan_report,
-    wright_renorm_pair,
 )
 
 PI = math.pi
@@ -42,22 +40,26 @@ def test_jensen_examples(p2_seq):
         jensen_poly(p2_seq, 0, 0)
 
 
+def _distinct(coeffs):
+    return _distinct_real_roots(sturm_chain(coeffs))
+
+
 def test_sturm_examples():
-    assert real_root_count([-2, 0, 1]) == 2  # X^2 - 2
-    assert real_root_count([1, 0, 1]) == 0  # X^2 + 1
-    assert real_root_count([5, 20, 20]) == 1  # double root
-    assert real_root_count([3]) == 0
+    assert _distinct([-2, 0, 1]) == 2  # X^2 - 2
+    assert _distinct([1, 0, 1]) == 0  # X^2 + 1
+    assert _distinct([5, 20, 20]) == 1  # double root
+    assert _distinct([3]) == 0
     with pytest.raises(ValueError):
-        real_root_count([0, 0])
+        sturm_chain([0, 0])
 
 
 def test_sturm_chain_invariant():
     # X^2 - 2, 2X -> X, remainder -2 negated and made primitive
     assert sturm_chain([-2, 0, 1]) == ((-2, 0, 1), (0, 1), (1,))
-    assert real_root_count([-2, 0, 1]) == 2
+    assert _distinct([-2, 0, 1]) == 2
     # 5 (2X + 1)^2: the last member is gcd(p, p') = 2X + 1
     assert sturm_chain([5, 20, 20]) == ((1, 4, 4), (1, 2))
-    assert real_root_count([5, 20, 20]) == 1
+    assert _distinct([5, 20, 20]) == 1
     # integer coefficients only: no rational or float input path
     for coeffs in ([Fraction(-1, 2), 0, Fraction(1, 4)], [-2.0, 0, 1]):
         with pytest.raises(TypeError):
@@ -96,7 +98,7 @@ def test_hyperbolic_iff_discriminant_on_quadratics(a, b, c):
     disc = b * b - 4 * a * c
     assert is_hyperbolic([a, b, c]) == (disc >= 0)
     want_distinct = 2 if disc > 0 else (1 if disc == 0 else 0)
-    assert real_root_count([a, b, c]) == want_distinct
+    assert _distinct([a, b, c]) == want_distinct
 
 
 def _poly_mul(p, q):
@@ -130,7 +132,7 @@ def test_planted_roots(linears, quadratics, const):
         for _ in range(mult):
             poly = _poly_mul(poly, [c, b, 1])
     distinct = len({Fraction(r, a) for r, a, _ in linears})
-    assert real_root_count(poly) == distinct
+    assert _distinct(poly) == distinct
     assert is_hyperbolic(poly) == (not quadratics)
 
 
@@ -156,22 +158,20 @@ def test_hermite_recurrence_and_hyperbolicity():
 
 
 def test_step2_pair_consistency():
-    # the step-2 pair is the doubled leading pair plus the exact 1/n correction
+    # the step-2 pair is the doubled closed-form leading pair at 2n,
+    # A = pi/sqrt(12n) and delta^2 = pi sqrt(2/3)/8 (2n)^(-3/2), plus the
+    # exact 1/n correction
     for n in (100, 1000):
-        base = wright_renorm_pair(PI**2 / 6, 0.0, 2 * n)
-        assert base.A_of_n == pytest.approx(PI * math.sqrt(1 / (12 * n)), rel=1e-14)
-        assert base.delta_of_n**2 * (2 * n) ** 1.5 == pytest.approx(PI * math.sqrt(2 / 3) / 8, rel=1e-12)
-        rs = renorm_sequences_step2(n)
-        assert rs.A_of_n == pytest.approx(2 * base.A_of_n - 1.25 / n, rel=1e-12)
-        assert rs.delta_of_n**2 == pytest.approx(4 * base.delta_of_n**2 - 0.625 / n**2, rel=1e-12)
-    with pytest.raises(ValueError):
-        wright_renorm_pair(-1.0, 0.0, 10)
-    with pytest.raises(ValueError):
-        wright_renorm_pair(1e-9, -1.25, 10)  # quadratic coefficient goes negative
-    with pytest.raises(ValueError):
-        wright_renorm_pair(PI**2 / 6, 0.0, 0)
-    with pytest.raises(ValueError):
-        RenormSeq(1.0, 0.0)
+        lead_a = PI / math.sqrt(12 * n)
+        lead_d2 = PI * math.sqrt(2 / 3) / 8 * (2 * n) ** -1.5
+        a, delta = renorm_sequences_step2(n)
+        assert a == pytest.approx(2 * lead_a - 1.25 / n, rel=1e-12)
+        assert delta**2 == pytest.approx(4 * lead_d2 - 0.625 / n**2, rel=1e-12)
+    assert renorm_sequences_step2(2)[1] > 0
+    with pytest.raises(ValueError, match="n = 1"):
+        renorm_sequences_step2(1)  # quadratic coefficient goes negative
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        renorm_sequences_step2(0)
 
 
 def test_renormalized_degree1_approaches_identity(p2_seq):
