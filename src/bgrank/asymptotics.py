@@ -49,11 +49,14 @@ def lerch_phi_unit(z: complex, tol: float = 1e-12) -> complex:
     if m_terms > 50_000_000:
         raise ValueError("z too close to 1 for the requested tolerance")
     theta = math.atan2(z.imag, z.real)
-    # in place, so the temporaries that set the report's peak memory stay few
+    # in place, so the temporaries that set the report's peak memory stay few:
+    # at most one float and one complex array of m_terms + 1 entries
     n = np.arange(0, m_terms + 1, dtype=np.float64)
-    terms = np.exp(1j * theta * n)
+    terms = (1j * theta) * n
+    np.exp(terms, out=terms)
     n += 1.0
-    terms /= n * n
+    n *= n
+    terms /= n
     partial = complex(np.sum(terms))
     big_k = m_terms + 1
     a_k = 1.0 / ((big_k + 1) * (big_k + 1))

@@ -1,13 +1,19 @@
 """On-disk cache for StatTable values.
 
 One CSV file per table: a magic line, a JSON meta line (kind, n_max, params,
-tool_version), a SHA-256 line over the data block, then ``n,value`` rows
-with big integers as base-10 strings.  Writes are atomic (rename-on-write).
-The loader renders the magic and meta lines the request would have written
-and serves the file only if it starts with exactly those bytes and the data
-block matches its checksum; anything else -- another request, another tool
-version or file format, a corrupt byte -- returns None so the caller
-recomputes.  Corrupt or stale data is never served.
+tool_version), a SHA-256 line over the data block, then the data block: the
+``n,value`` rows with big integers as base-10 strings, byte for byte the CSV
+that ``bgrank table`` prints.  Writes are atomic (rename-on-write).
+
+The loader reads the file as bytes and serves it only if three checks pass:
+it starts with exactly the magic and meta lines the request would write, its
+data block matches the checksum, and the block is n_max + 1 rows ``n,value``
+in canonical base 10.  A hit then hands out the verified block itself, and
+the table parses its values from it only when they are read (JSON output,
+library callers, ``validate``); a CSV hit prints the block unchanged.
+Anything else -- a missing or unreadable file, another request, tool version
+or file format, a corrupt byte, a malformed row -- returns None with a
+reason code so the caller recomputes.  Corrupt or stale data is never served.
 """
 
 from __future__ import annotations
@@ -16,6 +22,8 @@ import contextlib
 import hashlib
 import json
 import os
+import re
+import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -83,26 +91,20 @@ def cache_filename(kind: str, params: dict, n_max: int) -> str:
     return "_".join(bits) + ".csv"
 
 
-def _data_block(values) -> str:
-    lines = ["n,value"]
-    lines.extend(f"{n},{v}" for n, v in enumerate(values))
-    return "\n".join(lines) + "\n"
-
-
 def save_table(directory, table: StatTable) -> Path:
     directory = Path(directory)
     try:
         directory.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise CacheWriteError(f"cannot create cache dir {directory}: {exc}") from exc
-    data = _data_block(table.values)
-    checksum = hashlib.sha256(data.encode("ascii")).hexdigest()
-    content = f"{_header(table.kind, table.params, table.n_max)}{_SHA}{checksum}\n{data}"
+    data = table.csv.encode("ascii")
+    checksum = hashlib.sha256(data).hexdigest()
+    content = f"{_header(table.kind, table.params, table.n_max)}{_SHA}{checksum}\n".encode("ascii") + data
     path = directory / cache_filename(table.kind, table.params, table.n_max)
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=path.name, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="ascii", newline="") as fh:
+        with os.fdopen(fd, "wb") as fh:
             fh.write(content)
         os.replace(tmp, path)
     except OSError as exc:
@@ -113,33 +115,71 @@ def save_table(directory, table: StatTable) -> Path:
     return path
 
 
-def load_table(directory, kind: str, params: dict, n_max: int) -> StatTable | None:
-    """Read a cached table back; None when missing, stale or corrupt."""
+_DIGITS = b"0123456789"
+# each comma starts a value: this finds an empty one or one with a leading zero
+_BAD_VALUE = re.compile(rb",(?:\n|0[0-9])")
+
+
+def _rows_ok(data: bytes, n_max: int) -> bool:
+    """Whether ``data`` is a data block save_table writes: the line
+    ``n,value``, then for n = 0..n_max the line ``n,<value>``, both fields in
+    canonical base 10 (one or more digits, no sign, space, underscore or
+    leading zero), and nothing after the last newline.  Everything ``int()``
+    would accept but a verbatim print would show differently is rejected."""
+    rows = n_max + 1
+    header = b"n,value\n"
+    if not data.startswith(header) or data.translate(None, _DIGITS) != header + b",\n" * rows:
+        return False
+    # every row is now <digits>,<digits>: after "n" and "value" the fields
+    # alternate n and value, and end with "" after the last newline
+    n_column = b"\n".join(data.replace(b"\n", b",").split(b",")[2::2])
+    return _BAD_VALUE.search(data) is None and n_column == b"%d\n" * rows % tuple(range(rows))
+
+
+def _verified(path: Path, kind: str, params: dict, n_max: int) -> StatTable | str:
+    """The table in ``path`` if the file is what save_table writes for this
+    request; otherwise the reason code why not."""
+    try:
+        content = path.read_bytes()
+    except FileNotFoundError:
+        return "missing"
+    except OSError:
+        return "unreadable"
+    header = _header(kind, params, n_max).encode("ascii")
+    if not content.startswith(header):
+        return "header"
+    start = len(header) + len(_SHA) + 65  # past the sha line: 64 hex digits and "\n"
+    data = content[start:]
+    if content[len(header) : start] != f"{_SHA}{hashlib.sha256(data).hexdigest()}\n".encode("ascii"):
+        return "checksum"
+    if not _rows_ok(data, n_max):
+        return "rows"
+    return StatTable(kind, dict(params), csv=data.decode("ascii"))
+
+
+def load_table(
+    directory, kind: str, params: dict, n_max: int, *, reject: Callable[[Path, str], None] | None = None
+) -> StatTable | None:
+    """Read a cached table back; None when missing, stale or corrupt.
+
+    A served table carries the verified data block as its ``csv`` and parses
+    its values only when they are read.  ``reject``, when given, is called
+    with the file's path and the reason for a None: ``missing``,
+    ``unreadable``, ``header`` (the magic and meta lines are not the ones
+    this request writes), ``checksum`` or ``rows`` (the data block is not
+    n_max + 1 canonical rows).
+    """
     path = Path(directory) / cache_filename(kind, params, n_max)
-    try:
-        content = path.read_text(encoding="ascii")
-    except (OSError, UnicodeDecodeError):
-        return None
-    header = _header(kind, params, n_max)
-    data = content[len(header) + len(_SHA) + 65 :]  # past the sha line: 64 hex digits and "\n"
-    checksum = hashlib.sha256(data.encode("ascii")).hexdigest()
-    if not content.startswith(f"{header}{_SHA}{checksum}\n"):
-        return None
-    rows = data.strip("\n").split("\n")
-    if not rows or rows[0] != "n,value":
-        return None
-    values = []
-    try:
-        for i, row in enumerate(rows[1:]):
-            n_str, v_str = row.split(",")
-            if int(n_str) != i:
-                return None
-            values.append(int(v_str))
-    except ValueError:
-        return None
-    if len(values) != n_max + 1:
-        return None
-    return StatTable(kind, dict(params), values)
+    found = _verified(path, kind, params, n_max)
+    if isinstance(found, StatTable):
+        return found
+    if reject is not None:
+        reject(path, found)
+    return None
+
+
+def _report_miss(path: Path, reason: str) -> None:
+    print(f"[cache] miss {path}: {reason}", file=sys.stderr)
 
 
 def get_table(
@@ -149,10 +189,15 @@ def get_table(
     builder: Callable[[], StatTable],
     directory=None,
 ) -> StatTable:
-    """Serve from cache when it verifies; otherwise rebuild and rewrite."""
+    """Serve from cache when it verifies; otherwise rebuild and rewrite.
+
+    A miss or reject prints one stderr line naming the file and the reason;
+    a hit prints nothing.  A rebuilt table keeps as its ``csv`` the block
+    save_table rendered for the file, so it is rendered once.
+    """
     if directory is None:
         return builder()
-    cached = load_table(directory, kind, params, n_max)
+    cached = load_table(directory, kind, params, n_max, reject=_report_miss)
     if cached is not None:
         return cached
     table = builder()

@@ -114,9 +114,11 @@ def cmd_table(args) -> RunReport:
         command="table",
         params={"stat": stat, **params, "n_max": args.n_max},
         columns=("n", "value"),
-        rows=[{"n": n, "value": v} for n, v in enumerate(table.values)],
+        rows=lambda: [{"n": n, "value": v} for n, v in enumerate(table.values)],
+        csv=table.csv,
     )
-    report.add_check("table-built", True, f"kind={table.kind} route={table.route}")
+    built = table.kind == kind and table.n_max == args.n_max
+    report.add_check("table-built", built, f"kind={table.kind} route={table.route}")
     return report
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from typing import Callable
 
 
 def format_float(x: float) -> str:
@@ -76,23 +76,50 @@ def _cell(value) -> str:
 
 
 def csv_text(columns, rows) -> str:
-    lines = [",".join(columns)]
+    """A header line of ``columns``, then one line per row dict.  ``rows`` may
+    instead be that text already rendered, which is returned unchanged once
+    its header line is checked."""
+    header = ",".join(columns)
+    if isinstance(rows, str):
+        if not rows.startswith(header + "\n"):
+            raise ValueError(f"rendered rows do not start with the header line {header!r}")
+        return rows
+    lines = [header]
     for row in rows:
         lines.append(",".join(_cell(row.get(c)) for c in columns))
     return "\n".join(lines) + "\n"
 
 
-@dataclass
 class RunReport:
     """One executed experiment: echoed command, parameters, result rows,
-    named pass/fail checks, and (console-only) wall time."""
+    named pass/fail checks, and (console-only) wall time.
 
-    command: str
-    params: dict
-    columns: tuple[str, ...]
-    rows: list[dict] = field(default_factory=list)
-    checks: list[dict] = field(default_factory=list)
-    wall_time_s: float = 0.0
+    ``rows`` may be a function returning the rows, called on first read.
+    ``csv``, when given, is the CSV text of those rows already rendered, and
+    ``to_csv_text`` returns it: a report printed as CSV never builds its rows.
+    """
+
+    def __init__(
+        self,
+        command: str,
+        params: dict,
+        columns: tuple[str, ...],
+        rows: list[dict] | Callable[[], list[dict]] | None = None,
+        csv: str | None = None,
+    ):
+        self.command = command
+        self.params = params
+        self.columns = columns
+        self._rows = [] if rows is None else rows
+        self.csv = csv
+        self.checks: list[dict] = []
+        self.wall_time_s = 0.0
+
+    @property
+    def rows(self) -> list[dict]:
+        if callable(self._rows):
+            self._rows = self._rows()
+        return self._rows
 
     @property
     def passed(self) -> bool:
@@ -102,7 +129,7 @@ class RunReport:
         self.checks.append({"name": name, "passed": bool(passed), "detail": detail})
 
     def to_csv_text(self) -> str:
-        return csv_text(self.columns, self.rows)
+        return csv_text(self.columns, self.rows if self.csv is None else self.csv)
 
     def to_json_text(self) -> str:
         doc = {

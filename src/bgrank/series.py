@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Sequence
 
 from .partitions import bg_core_size
@@ -99,25 +98,55 @@ _ROUTES = {
 }
 
 
-@dataclass
 class StatTable:
-    """A cached integer table: its kind, selector params and values at n = 0..n_max."""
+    """A counting table: its kind, selector params and values at n = 0..n_max.
 
-    kind: str  # a key of _ROUTES
-    params: dict[str, int]
-    values: list[int]
+    ``csv`` is the same table as text: the line ``n,value``, then one line
+    ``n,<value>`` per row, in base 10.  It is both the data block of a cache
+    file and what ``bgrank table`` prints.  A table is made from its values
+    or, by the cache, from verified text; the other form is derived on first
+    access and kept, so a cache hit that is only printed never parses an int.
+    """
 
-    def __post_init__(self):
-        if any(v < 0 for v in self.values):
+    def __init__(
+        self, kind: str, params: dict[str, int], values: list[int] | None = None, *, csv: str | None = None
+    ):
+        if (values is None) == (csv is None):
+            raise TypeError("a StatTable takes either its values or its csv text")
+        if values is not None and any(v < 0 for v in values):
             raise ValueError("tables hold counts; negative value found")
+        self.kind = kind  # a key of _ROUTES
+        self.params = params
+        self._values = values
+        self._csv = csv
+
+    @property
+    def values(self) -> list[int]:
+        if self._values is None:
+            # fields: "n", "value", then n and value of each row, then "" after the last newline
+            self._values = list(map(int, self._csv.replace("\n", ",").split(",")[3::2]))
+        return self._values
+
+    @property
+    def csv(self) -> str:
+        if self._csv is None:
+            self._csv = "n,value\n" + "".join([f"{n},{v}\n" for n, v in enumerate(self._values)])
+        return self._csv
 
     @property
     def n_max(self) -> int:
-        return len(self.values) - 1
+        if self._values is None:
+            return self._csv.count("\n") - 2
+        return len(self._values) - 1
 
     @property
     def route(self) -> str:
         return _ROUTES[self.kind]
+
+    def __eq__(self, other):
+        if not isinstance(other, StatTable):
+            return NotImplemented
+        return (self.kind, self.params, self.values) == (other.kind, other.params, other.values)
 
 
 def p_table(n_max: int) -> StatTable:

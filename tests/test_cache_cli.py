@@ -4,6 +4,7 @@ import ast
 import contextlib
 import hashlib
 import importlib
+import importlib.util
 import inspect
 import io
 import json
@@ -25,7 +26,7 @@ from bgrank.cache import (
 )
 from bgrank.cli import main
 from bgrank.reporting import RunReport, csv_text, format_float, json_text
-from bgrank.series import StatTable, p_table
+from bgrank.series import StatTable, p_table, p_values
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +56,10 @@ def test_json_text_deterministic_and_parseable():
 def test_csv_text_quoting():
     text = csv_text(("a", "b"), [{"a": 1, "b": 'has,"comma'}])
     assert text == 'a,b\n1,"has,""comma"\n'
+    # rows already rendered pass through unchanged, under the right header only
+    assert csv_text(("a", "b"), text) is text
+    with pytest.raises(ValueError):
+        csv_text(("a", "c"), text)
 
 
 def test_run_report_passed():
@@ -211,6 +216,97 @@ def test_cache_concurrent_readers(tmp_path):
     assert all(r is not None and r.values == table.values for r in results)
 
 
+def test_cache_reject_reasons(tmp_path, capsys):
+    reasons = []
+
+    def load():
+        return load_table(tmp_path, "p", {}, 30, reject=lambda path, why: reasons.append((path.name, why)))
+
+    assert load() is None
+    path = save_table(tmp_path, p_table(30))
+    original = path.read_bytes()
+    assert load() == p_table(30)
+    path.write_bytes(original.replace(b"v2", b"v1", 1))
+    assert load() is None
+    path.write_bytes(original[:-2] + b"8\n")  # p(30) = 5604 -> 5608
+    assert load() is None
+    assert get_table("p", {}, 30, lambda: p_table(30), tmp_path) == p_table(30)
+    assert capsys.readouterr().err == f"[cache] miss {path}: checksum\n"
+    assert get_table("p", {}, 30, lambda: p_table(30), tmp_path) == p_table(30)
+    assert capsys.readouterr().err == ""
+    path.unlink()
+    path.mkdir()
+    assert load() is None
+    assert reasons == [(path.name, why) for why in ("missing", "header", "checksum", "unreadable")]
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("\n5,7\n", "\n5,07\n"),
+        ("\n5,7\n", "\n5,+7\n"),
+        ("\n10,42\n", "\n10,4_2\n"),
+        ("\n5,7\n", "\n5, 7\n"),
+        ("\n5,7\n", "\n5,-7\n"),
+        ("\n5,7\n", "\n5,\n"),
+        ("\n5,7\n", "\n57\n"),
+        ("\n5,7\n", "\n5,7,7\n"),
+        ("\n5,7\n", "\n05,7\n"),
+        ("\n5,7\n", "\n5,7\r\n"),
+        ("\n5,7\n6,11\n", "\n6,11\n5,7\n"),
+        ("\n12,77\n", "\n"),
+        ("\n12,77\n", "\n12,77\n\n"),
+    ],
+    ids=[
+        "leading-zero",
+        "plus-sign",
+        "underscore",
+        "space",
+        "minus-sign",
+        "empty-value",
+        "no-comma",
+        "two-commas",
+        "n-leading-zero",
+        "carriage-return",
+        "rows-swapped",
+        "row-missing",
+        "blank-line-at-end",
+    ],
+)
+def test_cache_rejects_forged_rows(tmp_path, capsys, old, new):
+    # header and SHA-256 line are right, one row is not: int() would read
+    # most of these back, but printing the block verbatim would show them
+    argv = ["--cache-dir", str(tmp_path), "table", "--stat", "p", "--n-max", "12"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    (path,) = tmp_path.iterdir()
+    original = path.read_bytes()
+    magic, meta, _, data = original.decode("ascii").split("\n", 3)
+    assert data == printed and data.count(old) == 1
+    data = data.replace(old, new)
+    digest = hashlib.sha256(data.encode("ascii")).hexdigest()
+    path.write_bytes(f"{magic}\n{meta}\n# sha256 {digest}\n{data}".encode("ascii"))
+    reasons = []
+    assert load_table(tmp_path, "p", {}, 12, reject=lambda path, why: reasons.append(why)) is None
+    assert reasons == ["rows"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == printed
+    assert path.read_bytes() == original
+
+
+def test_cache_csv_hit_never_parses_ints(tmp_path, capsys, monkeypatch):
+    argv = ["--cache-dir", str(tmp_path), "table", "--stat", "pbar", "--j", "0", "--n-max", "60"]
+    assert main(argv) == 0
+    miss = capsys.readouterr().out
+
+    def no_parse(table):
+        raise AssertionError("a CSV cache hit read the table's values")
+
+    monkeypatch.setattr(StatTable, "values", property(no_parse))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == miss
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -222,6 +318,20 @@ def test_cli_table_pbar(tmp_path, capsys):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "n,value"
     assert lines[-1] == "12,65"
+
+
+@pytest.mark.parametrize(
+    "build, detail",
+    [
+        (lambda n: StatTable("p", {}, p_values(n)[:-1]), "kind=p route=pentagonal-recurrence"),
+        (lambda n: StatTable("p2", {}, p_values(n)), "kind=p2 route=p-self-convolution"),
+    ],
+    ids=["short", "wrong-kind"],
+)
+def test_cli_table_built_check_can_fail(monkeypatch, capsys, build, detail):
+    monkeypatch.setattr("bgrank.cli.p_table", build)
+    assert main(["--no-cache", "table", "--stat", "p", "--n-max", "8"]) == 1
+    assert f"[table] FAIL table-built  {detail}\n" in capsys.readouterr().err
 
 
 def test_cli_table_json_format(tmp_path):
@@ -377,16 +487,23 @@ def test_cli_onset(capsys):
 def test_cli_uses_cache_dir(tmp_path, capsys, selectors):
     # the kind cli._STATS looks up must be the kind the builder files under,
     # or every run misses and silently rewrites the file
-    argv = ["--cache-dir", str(tmp_path), "--format", "json", "table", *selectors, "--n-max", "40"]
-    assert main(argv) == 0
-    miss = capsys.readouterr().out
-    (path,) = tmp_path.iterdir()
-    before = path.stat()
-    assert main(argv) == 0
-    assert capsys.readouterr().out == miss
-    after = path.stat()
-    # a hit leaves the file alone: a rewrite renames a new inode into place
-    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    for fmt in ("csv", "json"):
+        cache_dir = tmp_path / fmt
+        argv = ["--cache-dir", str(cache_dir), "--format", fmt, "table", *selectors, "--n-max", "40"]
+        assert main(argv) == 0
+        miss = capsys.readouterr()
+        (path,) = cache_dir.iterdir()
+        assert [line for line in miss.err.splitlines() if line.startswith("[cache]")] == [
+            f"[cache] miss {path}: missing"
+        ]
+        before = path.stat()
+        assert main(argv) == 0
+        hit = capsys.readouterr()
+        assert hit.out == miss.out
+        assert "[cache]" not in hit.err
+        after = path.stat()
+        # a hit leaves the file alone: a rewrite renames a new inode into place
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
 
 def test_cli_validate(capsys):
@@ -434,16 +551,24 @@ def test_report_bytes_match_benchmark_reference(tmp_path):
     assert h.hexdigest() == ref["sha256"]
 
 
-def test_benchmark_span_names_resolve():
-    # perfbench's tracer wraps the public functions each bgrank.<layer> defines;
-    # a span naming anything else would record no call in a traced run
-    tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "workloads.py").read_text())
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
+
+
+def _expected_spans() -> dict:
+    """``EXPECTED_SPANS`` of perfbench/workloads.py, read without importing it."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
     (spans,) = [
         ast.literal_eval(node.value)
         for node in tree.body
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "EXPECTED_SPANS" for t in node.targets)
     ]
-    names = {name for names in spans.values() for name in names} - {"cli.parse_args"}
+    return spans
+
+
+def test_benchmark_span_names_resolve():
+    # perfbench's tracer wraps the public functions each bgrank.<layer> defines;
+    # a span naming anything else would record no call in a traced run
+    names = {name for names in _expected_spans().values() for name in names} - {"cli.parse_args"}
     assert names
     for name in sorted(names):
         layer, fn = name.split(".")
@@ -451,6 +576,29 @@ def test_benchmark_span_names_resolve():
         obj = getattr(module, fn, None)
         assert not fn.startswith("_") and inspect.isfunction(obj), name
         assert obj.__module__ == module.__name__, name
+
+
+def test_traced_cache_hit_records_the_benchmark_spans(tmp_path, capsys):
+    # a traced cache_warm run fails on any of its spans that records no call,
+    # so a hit path that stops passing through one of them must fail here
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    import bgrank.cli
+
+    argv = ["--cache-dir", str(tmp_path), "table", "--stat", "pbar", "--j", "0", "--n-max", "40"]
+    assert bgrank.cli.main(argv) == 0
+    miss = capsys.readouterr().out
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert bgrank.cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    assert capsys.readouterr().out == miss
+    trace = tracer.to_dict()
+    assert [name for name in _expected_spans()["cache_warm"] if not trace["calls"].get(name)] == []
+    assert trace["counters"]["cache.hits"] == trace["counters"]["cache.lookups"] == 1
 
 
 # Every subcommand but validate and report, with integer flags drawn from one
