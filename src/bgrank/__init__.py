@@ -4,11 +4,13 @@
 leading-term circle-method asymptotics, and Jensen/Hermite convergence
 checks with exact hyperbolicity certificates.
 
-Series, joint tables (one {quotient rank: count} dict per size), Jensen
-coefficients, Sturm chains and hook lengths are plain lists, dicts and
-tuples; the O(N^2) series oracle behind ``bgrank validate`` is not
-exported.  Every experiment, the onset atlas included, is a ``bgrank``
-subcommand (``bgrank.cli``)."""
+Series, counting tables, joint tables (one {quotient rank: count} dict per
+size), Jensen coefficients, Sturm chains and hook lengths are plain lists,
+dicts and tuples; the O(N^2) series oracle behind ``bgrank validate`` is not
+exported.  ``StatTable`` (``bgrank.cache``) is a table as ``bgrank table``
+serves and caches it: kind, params, values and their ``n,value`` text.
+Every experiment, the onset atlas included, is a ``bgrank`` subcommand
+(``bgrank.cli``), whose ``_STATS`` names each table's kind and route."""
 
 from ._meta import TOOL_VERSION as __version__
 from .partitions import (
@@ -27,16 +29,12 @@ from .partitions import (
 )
 from .series import (
     OrthogonalityError,
-    StatTable,
     joint_table,
-    p2_table,
     p2_values,
-    p_table,
     p_values,
     pbar_abn_table,
     pbar_abn_values,
     pbar_eta,
-    pbar_table,
     pbar_values,
 )
 from .asymptotics import (
@@ -63,5 +61,5 @@ from .turan import (
     sturm_chain,
     turan_report,
 )
-from .cache import get_table, load_table, save_table
+from .cache import StatTable, get_table, load_table, save_table
 from .reporting import RunReport

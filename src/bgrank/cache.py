@@ -1,4 +1,10 @@
-"""On-disk cache for StatTable values.
+"""Counting tables and their on-disk cache.
+
+A ``StatTable`` is one table ``bgrank table`` serves: its cache kind,
+selector params and values, or the same table as ``n,value`` text, which
+this module alone renders, verifies (``_rows_ok``) and parses.
+``get_table`` stamps the request's kind and params on the values its
+builder returns, so no builder can file a table under another kind.
 
 One CSV file per table: a magic line, a JSON meta line (kind, n_max, params,
 tool_version), a SHA-256 line over the data block, then the data block: the
@@ -31,7 +37,6 @@ from typing import Callable
 
 from ._meta import TOOL_VERSION
 from .reporting import json_text
-from .series import StatTable
 
 MAGIC = "# stattable-cache v2"
 _META = "# meta "
@@ -40,6 +45,54 @@ _SHA = "# sha256 "
 
 class CacheWriteError(OSError):
     pass
+
+
+class StatTable:
+    """A counting table: its cache kind, selector params and values at n = 0..n_max.
+
+    ``csv`` is the same table as text: the line ``n,value``, then one line
+    ``n,<value>`` per row, in base 10.  It is both the data block of a cache
+    file and what ``bgrank table`` prints.  A table is made from its values
+    or, by the loader, from verified text; the other form is derived on
+    first access and kept, so a cache hit that is only printed never parses
+    an int.
+    """
+
+    def __init__(
+        self, kind: str, params: dict[str, int], values: list[int] | None = None, *, csv: str | None = None
+    ):
+        if (values is None) == (csv is None):
+            raise TypeError("a StatTable takes either its values or its csv text")
+        if values is not None and any(v < 0 for v in values):
+            raise ValueError("tables hold counts; negative value found")
+        self.kind = kind
+        self.params = params
+        self._values = values
+        self._csv = csv
+
+    @property
+    def values(self) -> list[int]:
+        if self._values is None:
+            # fields: "n", "value", then n and value of each row, then "" after the last newline
+            self._values = list(map(int, self._csv.replace("\n", ",").split(",")[3::2]))
+        return self._values
+
+    @property
+    def csv(self) -> str:
+        if self._csv is None:
+            self._csv = "n,value\n" + "".join([f"{n},{v}\n" for n, v in enumerate(self._values)])
+        return self._csv
+
+    @property
+    def n_max(self) -> int:
+        if self._values is None:
+            return self._csv.count("\n") - 2
+        return len(self._values) - 1
+
+    def __eq__(self, other):
+        if not isinstance(other, StatTable):
+            return NotImplemented
+        return (self.kind, self.params, self.values) == (other.kind, other.params, other.values)
 
 
 @dataclass(frozen=True)
@@ -186,20 +239,21 @@ def get_table(
     kind: str,
     params: dict,
     n_max: int,
-    builder: Callable[[], StatTable],
+    build: Callable[[], list[int]],
     directory=None,
 ) -> StatTable:
-    """Serve from cache when it verifies; otherwise rebuild and rewrite.
+    """Serve from cache when it verifies; otherwise build the values, wrap
+    them as this request's table and write it.
 
     A miss or reject prints one stderr line naming the file and the reason;
     a hit prints nothing.  A rebuilt table keeps as its ``csv`` the block
     save_table rendered for the file, so it is rendered once.
     """
-    if directory is None:
-        return builder()
-    cached = load_table(directory, kind, params, n_max, reject=_report_miss)
-    if cached is not None:
-        return cached
-    table = builder()
-    save_table(directory, table)
+    if directory is not None:
+        cached = load_table(directory, kind, params, n_max, reject=_report_miss)
+        if cached is not None:
+            return cached
+    table = StatTable(kind, dict(params), build())
+    if directory is not None:
+        save_table(directory, table)
     return table

@@ -6,21 +6,25 @@ Three independent exact routes to the same counts live here:
   pair counts p2 = coefficients of 1/(q;q)_oo^2; p and p2 are each one
   sparse division by (q;q)_oo (Euler's pentagonal number theorem), so
   p2 = (1/(q;q)_oo) / (q;q)_oo costs O(N^1.5) additions;
-* ``pbar_abn_values`` -- counts refined by quotient rank mod b, summed from
-  the crank generating function (Andrews-Garvan 1988): the coefficient of
-  z^m in 1/((zQ;Q)_oo (z^-1 Q;Q)_oo) is
+* ``pbar_abn_table`` (one class a) and ``pbar_abn_values`` (all b
+  classes) -- counts refined by quotient rank mod b, summed from the crank
+  generating function (Andrews-Garvan 1988): the coefficient of z^m in
+  1/((zQ;Q)_oo (z^-1 Q;Q)_oo) is
   (1/(Q;Q)_oo^2) sum_{k>=1} (-1)^(k-1) Q^(k(k-1)/2 + k|m|) (1 - Q^k),
-  so each residue class is O(sqrt N) shifted progression sums of p2,
-  O(b N^1.5) in all, checked row by row against ``pbar_values``;
+  so each residue class is O(sqrt N) shifted progression sums of p2.
+  Classes a and b - a mirror each other and a class with
+  min(a, b - a) > N/2 is zero, so at most min(b, N)/2 + 1 rows are built,
+  checked row by row against ``pbar_values`` over all b classes;
 * ``joint_table`` -- the (rank, size) table, one {m: count} dict per size n,
   by in-place division over Z[z, z^-1] by each factor of the product.
 
 ``series_invert`` and ``euler_factor_product`` are the O(N^2) schoolbook
 oracle behind the validation suite's series-inverse check.  Series are plain
 coefficient lists, low degree first; all coefficients are arbitrary-precision
-integers and floats never enter.  The memos (p, p2 and the residue rows) are
-process-wide and take no lock: the package starts no thread, so callers that
-do must not grow them from two threads at once.
+integers and floats never enter; ``bgrank.cli._STATS`` names the tables
+and ``bgrank.cache`` holds their text.  The memos (p, p2 and the residue
+rows) are process-wide and take no lock: the package starts no thread, so
+callers that do must not grow them from two threads at once.
 """
 
 from __future__ import annotations
@@ -86,77 +90,6 @@ def p2_values(n_max: int) -> list[int]:
     return _P2[: n_max + 1]
 
 
-# cache kind -> label of the route that builds it.  "p-self-convolution" and
-# "roots-of-unity-orthogonality" name former routes (p2 is now a division by
-# (q;q)_oo, the class tables crank sums); they are kept so that report files
-# stay byte-identical.
-_ROUTES = {
-    "p": "pentagonal-recurrence",
-    "p2": "p-self-convolution",
-    "pbar_j": "eta-quotient-shift",
-    "pbar_jab": "roots-of-unity-orthogonality",
-}
-
-
-class StatTable:
-    """A counting table: its kind, selector params and values at n = 0..n_max.
-
-    ``csv`` is the same table as text: the line ``n,value``, then one line
-    ``n,<value>`` per row, in base 10.  It is both the data block of a cache
-    file and what ``bgrank table`` prints.  A table is made from its values
-    or, by the cache, from verified text; the other form is derived on first
-    access and kept, so a cache hit that is only printed never parses an int.
-    """
-
-    def __init__(
-        self, kind: str, params: dict[str, int], values: list[int] | None = None, *, csv: str | None = None
-    ):
-        if (values is None) == (csv is None):
-            raise TypeError("a StatTable takes either its values or its csv text")
-        if values is not None and any(v < 0 for v in values):
-            raise ValueError("tables hold counts; negative value found")
-        self.kind = kind  # a key of _ROUTES
-        self.params = params
-        self._values = values
-        self._csv = csv
-
-    @property
-    def values(self) -> list[int]:
-        if self._values is None:
-            # fields: "n", "value", then n and value of each row, then "" after the last newline
-            self._values = list(map(int, self._csv.replace("\n", ",").split(",")[3::2]))
-        return self._values
-
-    @property
-    def csv(self) -> str:
-        if self._csv is None:
-            self._csv = "n,value\n" + "".join([f"{n},{v}\n" for n, v in enumerate(self._values)])
-        return self._csv
-
-    @property
-    def n_max(self) -> int:
-        if self._values is None:
-            return self._csv.count("\n") - 2
-        return len(self._values) - 1
-
-    @property
-    def route(self) -> str:
-        return _ROUTES[self.kind]
-
-    def __eq__(self, other):
-        if not isinstance(other, StatTable):
-            return NotImplemented
-        return (self.kind, self.params, self.values) == (other.kind, other.params, other.values)
-
-
-def p_table(n_max: int) -> StatTable:
-    return StatTable("p", {}, p_values(n_max))
-
-
-def p2_table(n_max: int) -> StatTable:
-    return StatTable("p2", {}, p2_values(n_max))
-
-
 def pbar_eta(j: int, n: int) -> int:
     """Number of partitions of n with alternating-parity rank exactly j.
 
@@ -169,9 +102,7 @@ def pbar_eta(j: int, n: int) -> int:
     if n < shift or (n - shift) % 2:
         return 0
     m = (n - shift) // 2
-    _grow_quotient(_P, (1,), m)
-    _grow_quotient(_P2, _P, m)
-    return _P2[m]
+    return p2_values(m)[m]
 
 
 def pbar_values(j: int, n_max: int) -> list[int]:
@@ -186,10 +117,6 @@ def pbar_values(j: int, n_max: int) -> list[int]:
     return out
 
 
-def pbar_table(j: int, n_max: int) -> StatTable:
-    return StatTable("pbar_j", {"j": j}, pbar_values(j, n_max))
-
-
 def ranks_with_support(n_max: int) -> list[int]:
     """All ranks j (both signs) whose 2-core fits inside n_max."""
     return [j for j in range(-n_max, n_max + 1) if bg_core_size(j) <= n_max]
@@ -198,21 +125,25 @@ def ranks_with_support(n_max: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # congruence-class tables from crank sums over p2
 
-# b -> Q-rows built for the largest Q-degree asked so far (the rank j only
-# shifts them by its 2-core); smaller requests are served from a prefix.
-_PBAR_AB: dict[int, tuple[list[int], ...]] = {}
+# b -> rows of the classes a <= b/2 (class b - a is class a mirrored), built
+# for the largest Q-degree asked so far (the rank j only shifts them by its
+# 2-core); smaller requests are served from a prefix.
+_PBAR_AB: dict[int, list[list[int]]] = {}
 
 
-def _residue_rows(b: int, nq: int) -> tuple[list[int], ...]:
-    """Rows[a][m]: coefficient of Q^m, summed over quotient ranks = a mod b.
+def _residue_rows(b: int, nq: int) -> list[list[int]]:
+    """Rows[a][m] for a = 0..min(b // 2, nq): coefficient of Q^m, summed over
+    quotient ranks = a mod b.
 
     The z^m coefficient of 1/((zQ;Q)_oo (z^-1 Q;Q)_oo) is
     p2(Q) sum_{k>=1} (-1)^(k-1) Q^(k(k-1)/2 + k|m|) (1 - Q^k); summing it over
     |m| = r, r + b, r + 2b, ... divides by 1 - Q^(kb).  Class a collects
-    r = a (m >= 0) and r = b - a (m < 0; for a = 0, r = b).
+    r = a (m >= 0) and r = b - a (m < 0; for a = 0, r = b).  Every offset is
+    at least min(a, b - a), so a class with min(a, b - a) > nq is zero
+    through Q^nq and gets no row.
     """
     p2 = p2_values(nq)
-    half = [[0] * (nq + 1) for _ in range(b // 2 + 1)]
+    half = [[0] * (nq + 1) for _ in range(min(b // 2, nq) + 1)]
     k = 1
     while k * (k - 1) // 2 <= nq:
         # d = p2 (1 - Q^k) / (1 - Q^(kb))
@@ -228,38 +159,43 @@ def _residue_rows(b: int, nq: int) -> tuple[list[int], ...]:
                 if off <= nq:
                     row[off:] = map(op, row[off:], d[: nq + 1 - off])
         k += 1
-    # m -> -m maps class a onto class b - a
-    rows = tuple(half[min(a, b - a)] for a in range(b))
+    # all b classes must sum to the rank count: m -> -m maps class a onto
+    # class b - a, so row a stands for two classes unless a = -a mod b, and
+    # the classes without a row add zero
+    weights = [1 if (b - a) % b == a else 2 for a in range(len(half))]
     pb = pbar_values(0, 2 * nq)
     for m in range(nq + 1):
-        if sum(row[m] for row in rows) != pb[2 * m]:
+        if sum(w * row[m] for w, row in zip(weights, half)) != pb[2 * m]:
             raise OrthogonalityError(f"residue classes mod {b} do not sum to pbar(0, {2 * m})")
-    return rows
+    return half
+
+
+def pbar_abn_table(j: int, a: int, b: int, n_max: int) -> list[int]:
+    """Counts of size 0..n_max with rank j and quotient rank = a mod b; the
+    build's cost stops growing with b past n_max (see _residue_rows)."""
+    if not 0 <= a < b:
+        raise ValueError("a must lie in [0, b)")
+    if b < 2:
+        raise ValueError("b must be >= 2")
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    shift = bg_core_size(j)
+    out = [0] * (n_max + 1)
+    if n_max < shift or min(a, b - a) > (n_max - shift) // 2:
+        return out
+    nq = (n_max - shift) // 2
+    rows = _PBAR_AB.get(b)
+    if rows is None or len(rows[0]) <= nq:
+        rows = _PBAR_AB[b] = _residue_rows(b, nq)
+    out[shift::2] = rows[min(a, b - a)][: nq + 1]
+    return out
 
 
 def pbar_abn_values(j: int, b: int, n_max: int) -> list[list[int]]:
     """For each residue a, counts of size 0..n_max with rank j and quotient rank = a mod b."""
     if b < 2:
         raise ValueError("b must be >= 2")
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    shift = bg_core_size(j)
-    tables = [[0] * (n_max + 1) for _ in range(b)]
-    if n_max < shift:
-        return tables
-    nq = (n_max - shift) // 2
-    rows = _PBAR_AB.get(b)
-    if rows is None or len(rows[0]) <= nq:
-        rows = _PBAR_AB[b] = _residue_rows(b, nq)
-    for table, row in zip(tables, rows):
-        table[shift::2] = row[: nq + 1]
-    return tables
-
-
-def pbar_abn_table(j: int, a: int, b: int, n_max: int) -> StatTable:
-    if not 0 <= a < b:
-        raise ValueError("a must lie in [0, b)")
-    return StatTable("pbar_jab", {"j": j, "a": a, "b": b}, pbar_abn_values(j, b, n_max)[a])
+    return [pbar_abn_table(j, a, b, n_max) for a in range(b)]
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from bgrank._meta import TOOL_VERSION
 from bgrank.cache import (
     CacheWriteError,
+    StatTable,
     cache_filename,
     get_table,
     inspect_cache_file,
@@ -26,7 +27,11 @@ from bgrank.cache import (
 )
 from bgrank.cli import main
 from bgrank.reporting import RunReport, csv_text, format_float, json_text
-from bgrank.series import StatTable, p_table, p_values
+from bgrank.series import p2_values, p_values, pbar_abn_table, pbar_values
+
+
+def p_table(n_max):
+    return StatTable("p", {}, p_values(n_max))
 
 
 # ---------------------------------------------------------------------------
@@ -84,11 +89,39 @@ def test_cache_roundtrip(tmp_path):
     back = load_table(tmp_path, "p", {}, 100)
     assert back.values == table.values
     assert back.kind == "p" and back.n_max == 100
-    assert back.route == table.route
+    assert back.csv == table.csv
 
 
 def test_cache_filename_stable():
     assert cache_filename("pbar_jab", {"j": 0, "b": 5, "a": 1}, 30) == "pbar_jab_a1_b5_j0_N30.csv"
+
+
+@pytest.mark.parametrize(
+    "kind, params, values, digest",
+    [
+        ("p", {}, lambda: p_values(30), "2db26c862524466c5766ac3ff3c4460f0b23b02140c824f64a52acbdd6cf68b9"),
+        ("p2", {}, lambda: p2_values(30), "bb077111c94a0a289aeb7e38f03dc10b642c3c8408b78c0a0fef001b5f2f878f"),
+        (
+            "pbar_j",
+            {"j": -1},
+            lambda: pbar_values(-1, 30),
+            "1c5d067be6d4d66d85d00a867544071e6dc02849928cf21ed323945975bba537",
+        ),
+        (
+            "pbar_jab",
+            {"j": 0, "a": 1, "b": 5},
+            lambda: pbar_abn_table(0, 1, 5, 30),
+            "fed1979bf1e8dfb7821dfa5b4f4ebc09b3893a74299ef0a8c60875b1204e3c2b",
+        ),
+    ],
+    ids=["p", "p2", "pbar", "pbar-ab"],
+)
+def test_cache_file_bytes_are_pinned(tmp_path, kind, params, values, digest):
+    # any drift in the file format silently rebuilds every user's cache, so
+    # a change to these bytes must come with a new MAGIC and new digests
+    path = save_table(tmp_path, StatTable(kind, params, values()))
+    assert path.name == cache_filename(kind, params, 30)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_cache_detects_corruption(tmp_path):
@@ -105,7 +138,7 @@ def test_cache_detects_corruption(tmp_path):
         path.write_bytes(raw)
         assert load_table(tmp_path, "p", {}, 30) is None, raw
         # get_table recomputes and repairs the file
-        assert get_table("p", {}, 30, lambda: p_table(30), tmp_path) == table
+        assert get_table("p", {}, 30, lambda: p_values(30), tmp_path) == table
         assert path.read_bytes() == original
 
 
@@ -169,16 +202,14 @@ def test_cache_rejects_malformed_meta(tmp_path, n_max, meta_line):
     assert load_table(tmp_path, "p", {}, n_max) is None
     assert inspect_cache_file(path) is None
     # get_table recomputes and repairs the file
-    rebuilt = get_table("p", {}, n_max, lambda: p_table(n_max), tmp_path)
+    rebuilt = get_table("p", {}, n_max, lambda: p_values(n_max), tmp_path)
     assert rebuilt.values == table.values
     assert load_table(tmp_path, "p", {}, n_max) is not None
     assert inspect_cache_file(path) is not None
 
 
 def test_cache_inspect(tmp_path):
-    from bgrank.series import pbar_abn_table
-
-    path = save_table(tmp_path, pbar_abn_table(0, 1, 5, 20))
+    path = save_table(tmp_path, StatTable("pbar_jab", {"j": 0, "a": 1, "b": 5}, pbar_abn_table(0, 1, 5, 20)))
     entry = inspect_cache_file(path)
     assert entry is not None
     assert entry.kind == "pbar_jab"
@@ -230,9 +261,9 @@ def test_cache_reject_reasons(tmp_path, capsys):
     assert load() is None
     path.write_bytes(original[:-2] + b"8\n")  # p(30) = 5604 -> 5608
     assert load() is None
-    assert get_table("p", {}, 30, lambda: p_table(30), tmp_path) == p_table(30)
+    assert get_table("p", {}, 30, lambda: p_values(30), tmp_path) == p_table(30)
     assert capsys.readouterr().err == f"[cache] miss {path}: checksum\n"
-    assert get_table("p", {}, 30, lambda: p_table(30), tmp_path) == p_table(30)
+    assert get_table("p", {}, 30, lambda: p_values(30), tmp_path) == p_table(30)
     assert capsys.readouterr().err == ""
     path.unlink()
     path.mkdir()
@@ -322,14 +353,11 @@ def test_cli_table_pbar(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "build, detail",
-    [
-        (lambda n: StatTable("p", {}, p_values(n)[:-1]), "kind=p route=pentagonal-recurrence"),
-        (lambda n: StatTable("p2", {}, p_values(n)), "kind=p2 route=p-self-convolution"),
-    ],
-    ids=["short", "wrong-kind"],
+    [(lambda n: p_values(n)[:-1], "kind=p route=pentagonal-recurrence")],
+    ids=["short"],
 )
 def test_cli_table_built_check_can_fail(monkeypatch, capsys, build, detail):
-    monkeypatch.setattr("bgrank.cli.p_table", build)
+    monkeypatch.setattr("bgrank.cli.p_values", build)
     assert main(["--no-cache", "table", "--stat", "p", "--n-max", "8"]) == 1
     assert f"[table] FAIL table-built  {detail}\n" in capsys.readouterr().err
 
@@ -578,27 +606,51 @@ def test_benchmark_span_names_resolve():
         assert obj.__module__ == module.__name__, name
 
 
-def test_traced_cache_hit_records_the_benchmark_spans(tmp_path, capsys):
-    # a traced cache_warm run fails on any of its spans that records no call,
-    # so a hit path that stops passing through one of them must fail here
+# argv shapes of one pass of each workload, at sizes small enough for tier-1:
+# cache_warm serves a table from a primed cache, tables builds the five
+# tables and the joint table of its pass into a fresh one
+_TRACED_OPS = {
+    "cache_warm": [["table", "--stat", "pbar", "--j", "0", "--n-max", "40"]],
+    "tables": [
+        ["table", "--stat", "p", "--n-max", "200"],
+        ["table", "--stat", "p2", "--n-max", "20"],
+        ["table", "--stat", "p2", "--n-max", "40"],
+        ["table", "--stat", "pbar-ab", "--j", "1", "--a", "3", "--b", "5", "--n-max", "50"],
+        ["table", "--stat", "pbar-ab", "--j", "1", "--a", "3", "--b", "5", "--n-max", "100"],
+        ["joint", "--j", "1", "--n-max", "30"],
+    ],
+}
+
+
+@pytest.mark.parametrize("workload", ["cache_warm", "tables"])
+def test_traced_cache_hit_records_the_benchmark_spans(workload, tmp_path, capsys):
+    # a traced run fails on any of its workload's spans that records no call,
+    # so a table path that stops passing through one of them must fail here
     spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     import bgrank.cli
 
-    argv = ["--cache-dir", str(tmp_path), "table", "--stat", "pbar", "--j", "0", "--n-max", "40"]
-    assert bgrank.cli.main(argv) == 0
-    miss = capsys.readouterr().out
+    ops = [["--cache-dir", str(tmp_path), *argv] for argv in _TRACED_OPS[workload]]
+    warm = workload == "cache_warm"
+    if warm:
+        for argv in ops:
+            assert bgrank.cli.main(argv) == 0
+        miss = capsys.readouterr().out
     tracer = spans.Tracer()
     tracer.install()
     try:
-        assert bgrank.cli.main(argv) == 0
+        for argv in ops:
+            assert bgrank.cli.main(argv) == 0
     finally:
         tracer.uninstall()
-    assert capsys.readouterr().out == miss
+    if warm:
+        assert capsys.readouterr().out == miss
     trace = tracer.to_dict()
-    assert [name for name in _expected_spans()["cache_warm"] if not trace["calls"].get(name)] == []
-    assert trace["counters"]["cache.hits"] == trace["counters"]["cache.lookups"] == 1
+    assert [name for name in _expected_spans()[workload] if not trace["calls"].get(name)] == []
+    lookups = sum(argv[2] == "table" for argv in ops)
+    assert trace["counters"]["cache.lookups"] == lookups
+    assert trace["counters"].get("cache.hits", 0) == (lookups if warm else 0)
 
 
 # Every subcommand but validate and report, with integer flags drawn from one

@@ -4,21 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bgrank.cache import StatTable
 from bgrank.partitions import rank_census
 from bgrank.series import (
     OrthogonalityError,
-    StatTable,
     _grow_quotient,
     euler_factor_product,
     joint_table,
-    p2_table,
     p2_values,
-    p_table,
     p_values,
     pbar_abn_table,
     pbar_abn_values,
     pbar_eta,
-    pbar_table,
     pbar_values,
     ranks_with_support,
     series_invert,
@@ -137,15 +134,18 @@ def test_rank_counts_partition_p():
 
 
 def test_stat_tables():
-    t = p_table(6)
+    t = StatTable("p", {}, p_values(6))
     assert t.kind == "p" and t.values == [1, 1, 2, 3, 5, 7, 11]
-    t2 = p2_table(4)
-    assert t2.values[4] == 20
-    tb = pbar_table(0, 12)
+    assert t.csv == "n,value\n0,1\n1,1\n2,2\n3,3\n4,5\n5,7\n6,11\n"
+    # built from its text, a table reads back the same values
+    assert StatTable("p", {}, csv=t.csv) == t
+    tb = StatTable("pbar_j", {"j": 0}, pbar_values(0, 12))
     assert tb.values[12] == 65 and tb.params == {"j": 0}
-    assert (tb.n_max, tb.route) == (12, "eta-quotient-shift")
+    assert tb.n_max == StatTable("pbar_j", {"j": 0}, csv=tb.csv).n_max == 12
     with pytest.raises(ValueError):
         StatTable("p", {}, [1, -2])
+    with pytest.raises(TypeError):
+        StatTable("p", {}, [1], csv="n,value\n0,1\n")
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +238,40 @@ def test_pbar_abn_matches_bivariate_and_enumeration(j, b, data, censuses_even_30
 
 def test_pbar_abn_table_wrapper():
     t = pbar_abn_table(0, 1, 2, 6)
-    assert t.kind == "pbar_jab" and t.params == {"j": 0, "a": 1, "b": 2}
-    assert t.values[2] == 2
+    assert t == pbar_abn_values(0, 2, 6)[1]
+    assert t[2] == 2
     with pytest.raises(ValueError):
         pbar_abn_table(0, 2, 2, 6)
+
+
+@pytest.mark.parametrize("b", [50, 97, 10**6])
+def test_pbar_abn_large_b_classes(b):
+    # classes a with min(a, b - a) > n/2 are zero through n and build no row
+    for j in (0, 1, -2):
+        joint = joint_table(j, 40)
+        for a in (0, 1, 2, 20, 21, b // 2, b - 1, b - 20):
+            assert pbar_abn_table(j, a, b, 40) == [class_sum(row, a, b) for row in joint]
+    if b < 100:
+        tables = pbar_abn_values(-1, b, 40)
+        assert [sum(t[n] for t in tables) for n in range(41)] == pbar_values(-1, 40)
+
+
+def test_pbar_abn_table_memory_does_not_grow_with_b(monkeypatch):
+    import tracemalloc
+
+    import bgrank.series as series_mod
+
+    monkeypatch.setattr(series_mod, "_PBAR_AB", {})
+    p2_values(5)  # the memo the build reads
+    tracemalloc.start()
+    try:
+        row = pbar_abn_table(0, 0, 10**6, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # building all b classes would peak at some 200 MB
+    assert peak < 64 * 1024, peak
+    assert row == [class_sum(r, 0, 10**6) for r in joint_table(0, 10)]
 
 
 # ---------------------------------------------------------------------------
