@@ -8,7 +8,8 @@ Series, counting tables, joint tables (one {quotient rank: count} dict per
 size), Jensen coefficients, Sturm chains and hook lengths are plain lists,
 dicts and tuples; the O(N^2) series oracle behind ``bgrank validate`` is not
 exported.  ``StatTable`` (``bgrank.cache``) is a table as ``bgrank table``
-serves and caches it: kind, params, values and their ``n,value`` text.
+serves and caches it: kind, params and its ``n,value`` text, whose values
+are parsed on first read when the table came from a cache file.
 Every experiment, the onset atlas included, is a ``bgrank`` subcommand
 (``bgrank.cli``), whose ``_STATS`` names each table's kind and route."""
 

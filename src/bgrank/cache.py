@@ -1,8 +1,8 @@
 """Counting tables and their on-disk cache.
 
 A ``StatTable`` is one table ``bgrank table`` serves: its cache kind,
-selector params and values, or the same table as ``n,value`` text, which
-this module alone renders, verifies (``_rows_ok``) and parses.
+selector params and ``n,value`` text, which this module alone renders,
+verifies (``_rows_ok``) and parses into values on first read.
 ``get_table`` stamps the request's kind and params on the values its
 builder returns, so no builder can file a table under another kind.
 
@@ -14,9 +14,11 @@ that ``bgrank table`` prints.  Writes are atomic (rename-on-write).
 The loader reads the file as bytes and serves it only if three checks pass:
 it starts with exactly the magic and meta lines the request would write, its
 data block matches the checksum, and the block is n_max + 1 rows ``n,value``
-in canonical base 10.  A hit then hands out the verified block itself, and
-the table parses its values from it only when they are read (JSON output,
-library callers, ``validate``); a CSV hit prints the block unchanged.
+in canonical base 10.  A hit then hands out the verified block itself as
+the table's text, and the table parses its values from it only when they are
+read (JSON output, library callers, ``validate``); a CSV hit prints the block
+unchanged.  ``inspect_cache_file`` reads the request from a file's own meta
+line and puts the file through the same check.
 Anything else -- a missing or unreadable file, another request, tool version
 or file format, a corrupt byte, a malformed row -- returns None with a
 reason code so the caller recomputes.  Corrupt or stale data is never served.
@@ -25,13 +27,13 @@ reason code so the caller recomputes.  Corrupt or stale data is never served.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -48,63 +50,43 @@ class CacheWriteError(OSError):
 
 
 class StatTable:
-    """A counting table: its cache kind, selector params and values at n = 0..n_max.
-
-    ``csv`` is the same table as text: the line ``n,value``, then one line
-    ``n,<value>`` per row, in base 10.  It is both the data block of a cache
-    file and what ``bgrank table`` prints.  A table is made from its values
-    or, by the loader, from verified text; the other form is derived on
-    first access and kept, so a cache hit that is only printed never parses
-    an int.
+    """A counting table: its cache kind, selector params and its values at
+    n = 0..n_max as ``csv`` text: the line ``n,value``, then one line
+    ``n,<value>`` per row, in base 10.  The text is both the data block of a
+    cache file and what ``bgrank table`` prints.  A table made from values
+    renders the text at once and keeps the values; one the loader makes from
+    verified text parses its values on first read, so a cache hit that is
+    only printed never parses an int.
     """
 
-    def __init__(
-        self, kind: str, params: dict[str, int], values: list[int] | None = None, *, csv: str | None = None
-    ):
-        if (values is None) == (csv is None):
-            raise TypeError("a StatTable takes either its values or its csv text")
-        if values is not None and any(v < 0 for v in values):
+    def __init__(self, kind: str, params: dict[str, int], values: list[int]):
+        if any(v < 0 for v in values):
             raise ValueError("tables hold counts; negative value found")
         self.kind = kind
         self.params = params
-        self._values = values
-        self._csv = csv
+        self.csv = "n,value\n" + "".join([f"{n},{v}\n" for n, v in enumerate(values)])
+        self.values = values
 
-    @property
+    @classmethod
+    def _from_csv(cls, kind: str, params: dict[str, int], csv: str) -> StatTable:
+        """The table whose text the loader has verified (``_rows_ok``)."""
+        table = cls.__new__(cls)
+        table.kind, table.params, table.csv = kind, params, csv
+        return table
+
+    @functools.cached_property
     def values(self) -> list[int]:
-        if self._values is None:
-            # fields: "n", "value", then n and value of each row, then "" after the last newline
-            self._values = list(map(int, self._csv.replace("\n", ",").split(",")[3::2]))
-        return self._values
-
-    @property
-    def csv(self) -> str:
-        if self._csv is None:
-            self._csv = "n,value\n" + "".join([f"{n},{v}\n" for n, v in enumerate(self._values)])
-        return self._csv
+        # fields: "n", "value", then n and value of each row, then "" after the last newline
+        return list(map(int, self.csv.replace("\n", ",").split(",")[3::2]))
 
     @property
     def n_max(self) -> int:
-        if self._values is None:
-            return self._csv.count("\n") - 2
-        return len(self._values) - 1
+        return self.csv.count("\n") - 2
 
     def __eq__(self, other):
         if not isinstance(other, StatTable):
             return NotImplemented
-        return (self.kind, self.params, self.values) == (other.kind, other.params, other.values)
-
-
-@dataclass(frozen=True)
-class CacheEntry:
-    """Identity of one cached table as recorded in its file header."""
-
-    path: Path
-    kind: str
-    params: dict
-    n_max: int
-    checksum: str
-    tool_version: str
+        return (self.kind, self.params, self.csv) == (other.kind, other.params, other.csv)
 
 
 def _header(kind: str, params: dict, n_max: int) -> str:
@@ -113,30 +95,26 @@ def _header(kind: str, params: dict, n_max: int) -> str:
     return f"{MAGIC}\n{_META}{json_text(meta)}\n"
 
 
-def inspect_cache_file(path) -> CacheEntry | None:
-    """Header-only view of a cache file; None unless the first three lines
-    have their prefixes and the meta object has the fields and types
-    save_table writes (a bool is never a count)."""
+def inspect_cache_file(path) -> StatTable | None:
+    """The table a cache file holds, read back through load_table's check;
+    None unless its meta line names a kind, params and n_max of the types
+    save_table writes (a bool is never a count) and the file verifies as
+    what save_table writes for them."""
     path = Path(path)
     try:
-        with path.open(encoding="ascii") as fh:
-            magic, meta_line, sha_line = (fh.readline().rstrip("\n") for _ in range(3))
-    except (OSError, UnicodeDecodeError):
-        return None
-    if magic != MAGIC or not meta_line.startswith(_META) or not sha_line.startswith(_SHA):
-        return None
-    try:
-        meta = json.loads(meta_line[len(_META) :])
-    except (ValueError, RecursionError):  # RecursionError: nesting too deep
+        with path.open("rb") as fh:
+            fh.readline()
+            # a wrong prefix fails to parse here or fails the header check below
+            meta = json.loads(fh.readline()[len(_META) :])
+    except (OSError, ValueError, RecursionError):  # RecursionError: nesting too deep
         return None
     if not isinstance(meta, dict) or not isinstance(meta.get("params"), dict):
         return None
-    strings = [meta.get("kind"), meta.get("tool_version")]
-    ints = [meta.get("n_max"), *meta["params"].values()]
-    if not all(type(v) is str for v in strings) or not all(type(v) is int for v in ints):
+    counts = [meta.get("n_max"), *meta["params"].values()]
+    if type(meta.get("kind")) is not str or not all(type(v) is int for v in counts):
         return None
-    checksum = sha_line[len(_SHA) :]
-    return CacheEntry(path, meta["kind"], meta["params"], meta["n_max"], checksum, meta["tool_version"])
+    found = _verified(path, meta["kind"], meta["params"], meta["n_max"])
+    return found if isinstance(found, StatTable) else None
 
 
 def cache_filename(kind: str, params: dict, n_max: int) -> str:
@@ -181,7 +159,11 @@ def _rows_ok(data: bytes, n_max: int) -> bool:
     would accept but a verbatim print would show differently is rejected."""
     rows = n_max + 1
     header = b"n,value\n"
-    if not data.startswith(header) or data.translate(None, _DIGITS) != header + b",\n" * rows:
+    # a row takes at least 4 bytes, so an n_max read from a file header never
+    # sizes the expected block past the file itself
+    if 4 * rows > len(data) or not data.startswith(header):
+        return False
+    if data.translate(None, _DIGITS) != header + b",\n" * rows:
         return False
     # every row is now <digits>,<digits>: after "n" and "value" the fields
     # alternate n and value, and end with "" after the last newline
@@ -207,7 +189,7 @@ def _verified(path: Path, kind: str, params: dict, n_max: int) -> StatTable | st
         return "checksum"
     if not _rows_ok(data, n_max):
         return "rows"
-    return StatTable(kind, dict(params), csv=data.decode("ascii"))
+    return StatTable._from_csv(kind, dict(params), data.decode("ascii"))
 
 
 def load_table(
@@ -246,8 +228,8 @@ def get_table(
     them as this request's table and write it.
 
     A miss or reject prints one stderr line naming the file and the reason;
-    a hit prints nothing.  A rebuilt table keeps as its ``csv`` the block
-    save_table rendered for the file, so it is rendered once.
+    a hit prints nothing.  A rebuilt table's text is rendered once, when the
+    table is made, and save_table writes that text.
     """
     if directory is not None:
         cached = load_table(directory, kind, params, n_max, reject=_report_miss)

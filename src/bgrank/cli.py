@@ -252,13 +252,9 @@ def cmd_jensen(args) -> RunReport:
 def cmd_turan(args) -> RunReport:
     lo, hi = args.range
     order = args.order
-    if order == "convexity":
-        seq = p2_values(2 * hi + 1)
-    elif order == "3":
-        seq = p2_values(hi + 4)
-    else:
-        seq = p2_values(hi + 2)
-    rep = turan_report(seq, order, (lo, hi))
+    need = {"convexity": 2 * hi + 1, "3": hi + 4}.get(order, hi + 2)
+    # never a negative length: turan_report names a bad range itself
+    rep = turan_report(p2_values(max(0, need)), order, (lo, hi))
     rows = [
         {
             "index": str(idx),
@@ -417,7 +413,7 @@ def _validation_checks():
         return True, "enumeration = character sum = bivariate sieve, n <= 16"
 
     def series_roundtrip():
-        inv = series_invert(euler_factor_product(24, step=2, power=2))
+        inv = series_invert(euler_factor_product(24))
         p2 = p2_values(12)
         ok = all(inv[2 * m] == p2[m] for m in range(13)) and all(
             inv[2 * m + 1] == 0 for m in range(12)

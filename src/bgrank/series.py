@@ -91,23 +91,17 @@ def p2_values(n_max: int) -> list[int]:
 
 
 def pbar_eta(j: int, n: int) -> int:
-    """Number of partitions of n with alternating-parity rank exactly j.
-
-    Equals the pair count at (n - j(2j-1))/2; zero off the support (the rank
-    fixes the 2-core, so n must match j(2j-1) in size and parity).
-    """
+    """Number of partitions of n with alternating-parity rank exactly j:
+    entry n of ``pbar_values(j, n)``."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    shift = bg_core_size(j)
-    if n < shift or (n - shift) % 2:
-        return 0
-    m = (n - shift) // 2
-    return p2_values(m)[m]
+    return pbar_values(j, n)[n]
 
 
 def pbar_values(j: int, n_max: int) -> list[int]:
-    """pbar_eta(j, n) for n = 0..n_max: the pair counts at every second n
-    from the 2-core size on, zero elsewhere."""
+    """pbar_eta(j, n) for n = 0..n_max: the pair count at (n - j(2j-1))/2
+    at every second n from the 2-core size j(2j-1) on, zero elsewhere (the
+    rank fixes the 2-core, so n must match its size and parity)."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     out = [0] * (n_max + 1)
@@ -247,14 +241,12 @@ def series_invert(a: Sequence[int]) -> list[int]:
     return inv
 
 
-def euler_factor_product(n_max: int, step: int = 1, power: int = 1) -> list[int]:
-    """Coefficients of prod_{i>=1} (1 - q^(step*i))^power through q^n_max."""
-    if step < 1 or power < 0:
-        raise ValueError("step must be >= 1 and power >= 0")
+def euler_factor_product(n_max: int) -> list[int]:
+    """Coefficients of (q^2;q^2)_oo^2 = prod_{i>=1} (1 - q^(2i))^2 through q^n_max."""
     out = [0] * (n_max + 1)
     out[0] = 1
-    for _ in range(power):
-        for i in range(step, n_max + 1, step):
+    for i in range(2, n_max + 1, 2):
+        for _ in range(2):
             for n in range(n_max, i - 1, -1):
                 out[n] -= out[n - i]
     return out

@@ -209,15 +209,28 @@ def test_cache_rejects_malformed_meta(tmp_path, n_max, meta_line):
 
 
 def test_cache_inspect(tmp_path):
-    path = save_table(tmp_path, StatTable("pbar_jab", {"j": 0, "a": 1, "b": 5}, pbar_abn_table(0, 1, 5, 20)))
+    table = StatTable("pbar_jab", {"j": 0, "a": 1, "b": 5}, pbar_abn_table(0, 1, 5, 20))
+    path = save_table(tmp_path, table)
     entry = inspect_cache_file(path)
     assert entry is not None
     assert entry.kind == "pbar_jab"
     assert entry.params == {"j": 0, "a": 1, "b": 5}
     assert entry.n_max == 20
-    assert entry.tool_version == TOOL_VERSION
-    assert len(entry.checksum) == 64
+    assert entry == table and entry.values == table.values
     assert inspect_cache_file(tmp_path / "missing.csv") is None
+
+
+def test_cache_header_n_max_past_the_file_is_refused(tmp_path):
+    # the meta line is outside input: an n_max far past the data block, under
+    # a checksum that matches, is a rejected file and never a huge allocation
+    huge = 10**30
+    raw = save_table(tmp_path, p_table(10)).read_bytes().replace(b'"n_max":10', b'"n_max":%d' % huge)
+    path = tmp_path / cache_filename("p", {}, huge)
+    path.write_bytes(raw)
+    assert inspect_cache_file(path) is None
+    reasons = []
+    assert load_table(tmp_path, "p", {}, huge, reject=lambda path, why: reasons.append(why)) is None
+    assert reasons == ["rows"]
 
 
 def test_save_table_removes_temp_file_on_failure(tmp_path, monkeypatch):
@@ -419,6 +432,10 @@ def test_cli_negative_n_max_is_argument_error(argv, capsys):
         (["asympt", "--n-list", "4", "--b", "-1"], "b must be >= 1"),
         (["onset", "--max-degree", "25"], "onset needs 2 <= --max-degree <= 24 and --hi >= 0"),
         (["jensen", "--d", "2", "--n", "1", "--renormalized"], "second-order coefficient is not positive at n = 1"),
+        (["turan", "--order", "2", "--range", "1:-5"], "empty range"),
+        (["turan", "--order", "convexity", "--range", "0:-1"], "empty range"),
+        (["turan", "--order", "2", "--range=-5:-3"], "order-2 scan needs indices [lo-1, hi+1] inside the sequence"),
+        (["turan", "--order", "3", "--range=-9:-6"], "order-3 scan needs indices [lo, hi+3] inside the sequence"),
     ],
 )
 def test_cli_out_of_range_flag_is_named(argv, message, capsys):
@@ -582,21 +599,22 @@ def test_report_bytes_match_benchmark_reference(tmp_path):
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
 
-def _expected_spans() -> dict:
-    """``EXPECTED_SPANS`` of perfbench/workloads.py, read without importing it."""
+def _workloads_value(name: str):
+    """The module-level constant ``name`` of perfbench/workloads.py, read
+    without importing it (its expression uses builtins only)."""
     tree = ast.parse((PERFBENCH / "workloads.py").read_text())
-    (spans,) = [
-        ast.literal_eval(node.value)
+    (value,) = [
+        eval(compile(ast.Expression(node.value), "workloads.py", "eval"), {})
         for node in tree.body
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "EXPECTED_SPANS" for t in node.targets)
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets)
     ]
-    return spans
+    return value
 
 
 def test_benchmark_span_names_resolve():
     # perfbench's tracer wraps the public functions each bgrank.<layer> defines;
     # a span naming anything else would record no call in a traced run
-    names = {name for names in _expected_spans().values() for name in names} - {"cli.parse_args"}
+    names = {name for names in _workloads_value("EXPECTED_SPANS").values() for name in names} - {"cli.parse_args"}
     assert names
     for name in sorted(names):
         layer, fn = name.split(".")
@@ -647,10 +665,32 @@ def test_traced_cache_hit_records_the_benchmark_spans(workload, tmp_path, capsys
     if warm:
         assert capsys.readouterr().out == miss
     trace = tracer.to_dict()
-    assert [name for name in _expected_spans()[workload] if not trace["calls"].get(name)] == []
+    assert [name for name in _workloads_value("EXPECTED_SPANS")[workload] if not trace["calls"].get(name)] == []
     lookups = sum(argv[2] == "table" for argv in ops)
     assert trace["counters"]["cache.lookups"] == lookups
     assert trace["counters"].get("cache.hits", 0) == (lookups if warm else 0)
+
+
+def test_primed_cache_files_read_back_through_the_loader(tmp_path):
+    # perfbench's cache_warm priming reads each file it wrote back with
+    # inspect_cache_file and loads the kind, params and n_max it names; here
+    # the nine tables of that workload, at small n
+    warm = [list(args) for args in _workloads_value("WARM_TABLES")]
+    assert len(warm) == 9
+    for args in warm:
+        args[args.index("--n-max") + 1] = "40"
+        assert main(["--cache-dir", str(tmp_path), "table", *args]) == 0
+    files = sorted(tmp_path.iterdir())
+    assert len(files) == len(warm)
+    for path in files:
+        table = inspect_cache_file(path)
+        assert table is not None and table.n_max == 40, path.name
+        assert load_table(tmp_path, table.kind, table.params, table.n_max).csv == table.csv
+        # one flipped byte inside the data block: the file no longer verifies
+        raw = path.read_bytes()
+        i = len(raw) - 3
+        path.write_bytes(raw[:i] + bytes([raw[i] ^ 0x01]) + raw[i + 1 :])
+        assert inspect_cache_file(path) is None, path.name
 
 
 # Every subcommand but validate and report, with integer flags drawn from one

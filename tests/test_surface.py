@@ -6,6 +6,8 @@ from pathlib import Path
 import bgrank
 
 PACKAGE = Path(bgrank.__file__).parent
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
+MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 
 # the paper's leading term for the rank counts, to be printed by `asympt`
 AWAITING_A_CALLER = {"wright_asymptotic", "rank_count_params"}
@@ -22,13 +24,25 @@ def _exported_names() -> set[str]:
     }
 
 
-def _used_names() -> set[str]:
-    """Names read as a variable or an attribute in any module but __init__;
-    definitions and imports do not count."""
+def _defined_names() -> set[str]:
+    """Public functions, classes and constants defined at module level."""
+    defined = set()
+    for path in MODULES:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Assign):
+                defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                defined.add(node.target.id)
+    return {name for name in defined if not name.startswith("_")}
+
+
+def _used_names(paths) -> set[str]:
+    """Names read as a variable or an attribute in ``paths``; definitions and
+    imports do not count."""
     used = set()
-    for path in PACKAGE.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
@@ -40,5 +54,14 @@ def _used_names() -> set[str]:
 def test_every_export_has_a_caller_in_the_package():
     exported = _exported_names()
     assert AWAITING_A_CALLER <= exported
-    unused = exported - _used_names() - AWAITING_A_CALLER
+    unused = exported - _used_names(MODULES) - AWAITING_A_CALLER
     assert not unused, f"exported but never used inside bgrank: {sorted(unused)}"
+
+
+def test_every_public_definition_has_a_reader():
+    # perfbench reads the package too (the cache priming check reads
+    # inspect_cache_file); a name read by neither is dead weight
+    defined = _defined_names()
+    assert AWAITING_A_CALLER <= defined
+    unread = defined - _used_names([*MODULES, *PERFBENCH.glob("*.py")]) - AWAITING_A_CALLER
+    assert not unread, f"defined but never read in bgrank or perfbench: {sorted(unread)}"
