@@ -130,13 +130,16 @@ def save_table(directory, table: StatTable) -> Path:
         raise CacheWriteError(f"cannot create cache dir {directory}: {exc}") from exc
     data = table.csv.encode("ascii")
     checksum = hashlib.sha256(data).hexdigest()
-    content = f"{_header(table.kind, table.params, table.n_max)}{_SHA}{checksum}\n".encode("ascii") + data
+    head = f"{_header(table.kind, table.params, table.n_max)}{_SHA}{checksum}\n".encode("ascii")
     path = directory / cache_filename(table.kind, table.params, table.n_max)
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=path.name, suffix=".tmp")
         with os.fdopen(fd, "wb") as fh:
-            fh.write(content)
+            # two writes: joining head and data would copy the data block,
+            # the largest buffer a cold `table` run holds
+            fh.write(head)
+            fh.write(data)
         os.replace(tmp, path)
     except OSError as exc:
         if tmp is not None:
@@ -222,14 +225,15 @@ def get_table(
     params: dict,
     n_max: int,
     build: Callable[[], list[int]],
-    directory=None,
+    directory,
 ) -> StatTable:
     """Serve from cache when it verifies; otherwise build the values, wrap
     them as this request's table and write it.
 
-    A miss or reject prints one stderr line naming the file and the reason;
-    a hit prints nothing.  A rebuilt table's text is rendered once, when the
-    table is made, and save_table writes that text.
+    A ``directory`` of None means no cache.  A miss or reject prints one
+    stderr line naming the file and the reason; a hit prints nothing.  A
+    rebuilt table's text is rendered once, when the table is made, and
+    save_table writes that text.
     """
     if directory is not None:
         cached = load_table(directory, kind, params, n_max, reject=_report_miss)

@@ -522,11 +522,7 @@ _REPORT_JOBS = (
 def cmd_report(args) -> RunReport:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = RunReport(
-        command="report",
-        params={"out": str(args.out)},
-        columns=("experiment", "passed", "rows"),
-    )
+    report = RunReport(command="report", params={}, columns=())
     parser = build_parser()
     for name, argv in _REPORT_JOBS:
         job = parser.parse_args(argv.split())
@@ -534,12 +530,11 @@ def cmd_report(args) -> RunReport:
         rep = job.handler(job)
         (out_dir / f"{name}.csv").write_text(rep.to_csv_text(), encoding="ascii")
         (out_dir / f"{name}.json").write_text(rep.to_json_text(), encoding="ascii")
-        report.rows.append({"experiment": name, "passed": rep.passed, "rows": len(rep.rows)})
         report.add_check(name, rep.passed)
     (out_dir / "index.json").write_text(
         reporting.json_text(
             {
-                "experiments": [r["experiment"] for r in report.rows],
+                "experiments": [name for name, _ in _REPORT_JOBS],
                 "passed": report.passed,
                 "tool_version": TOOL_VERSION,
             }
@@ -638,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report: RunReport, args) -> None:
+def _emit(report: RunReport, args, wall_s: float) -> None:
     if report.command != "report":  # report writes its own files
         text = report.to_csv_text() if args.fmt == "csv" else report.to_json_text()
         if args.out:
@@ -648,7 +643,7 @@ def _emit(report: RunReport, args) -> None:
     for check in report.checks:
         status = "ok" if check["passed"] else "FAIL"
         print(f"[{report.command}] {status:4s} {check['name']}  {check['detail']}", file=sys.stderr)
-    print(f"[{report.command}] wall time {report.wall_time_s:.3f}s", file=sys.stderr)
+    print(f"[{report.command}] wall time {wall_s:.3f}s", file=sys.stderr)
 
 
 def main(argv=None) -> int:
@@ -658,13 +653,8 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         report: RunReport = args.handler(args)
+        _emit(report, args, time.perf_counter() - started)
     except (ValueError, OSError) as exc:  # OSError covers cache.CacheWriteError
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report.wall_time_s = time.perf_counter() - started
-    try:
-        _emit(report, args)
-    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if report.passed else 1

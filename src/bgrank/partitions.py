@@ -99,19 +99,17 @@ def littlewood_decompose(p: Partition, t: int) -> tuple[Partition, tuple[Partiti
     """
     if t < 2:
         raise ValueError(f"t must be >= 2, got {t}")
-    s = t * max(1, -(-len(p.parts) // t))
+    s = t * -(-len(p.parts) // t)
+    # beta numbers arrive largest first, so each runner is already descending
     by_class: list[list[int]] = [[] for _ in range(t)]
     for b in beta_numbers(p, s):
         by_class[b % t].append(b // t)
-    quotients = []
-    for r in range(t):
-        ms = sorted(by_class[r], reverse=True)
-        quotients.append(_partition_from_beta(ms))
+    quotients = tuple(_partition_from_beta(ms) for ms in by_class)
     core_beta = sorted(
         (i * t + r for r in range(t) for i in range(len(by_class[r]))),
         reverse=True,
     )
-    return _partition_from_beta(core_beta), tuple(quotients)
+    return _partition_from_beta(core_beta), quotients
 
 
 def littlewood_compose(core: Partition, quotients: Sequence[Partition], t: int) -> Partition:

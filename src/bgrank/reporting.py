@@ -2,8 +2,8 @@
 
 Floats are rendered with 17 significant digits in lowercase e-notation, big
 integers as plain base-10 strings, JSON keys sorted; identical inputs give
-byte-identical text.  Wall-clock time is carried on RunReport for console
-display but deliberately kept out of the serialized forms.
+byte-identical text.  A RunReport holds only what it serializes; wall time
+and other console state belong to the CLI.
 """
 
 from __future__ import annotations
@@ -91,8 +91,8 @@ def csv_text(columns, rows) -> str:
 
 
 class RunReport:
-    """One executed experiment: echoed command, parameters, result rows,
-    named pass/fail checks, and (console-only) wall time.
+    """One executed experiment's results: echoed command, parameters, result
+    rows and named pass/fail checks.
 
     ``rows`` may be a function returning the rows, called on first read.
     ``csv``, when given, is the CSV text of those rows already rendered, and
@@ -113,7 +113,6 @@ class RunReport:
         self._rows = [] if rows is None else rows
         self.csv = csv
         self.checks: list[dict] = []
-        self.wall_time_s = 0.0
 
     @property
     def rows(self) -> list[dict]:
@@ -123,7 +122,7 @@ class RunReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.get("passed", False) for c in self.checks)
+        return all(c["passed"] for c in self.checks)
 
     def add_check(self, name: str, passed: bool, detail: str = "") -> None:
         self.checks.append({"name": name, "passed": bool(passed), "detail": detail})

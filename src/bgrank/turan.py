@@ -199,12 +199,9 @@ def hermite(d: int) -> list[int]:
 
 
 def hermite_distance(coeffs: Sequence[float], d: int) -> float:
-    """Coefficient-wise max distance to H_d (shorter vector padded with 0)."""
-    target = hermite(d)
-    width = max(len(coeffs), len(target))
-    a = list(coeffs) + [0.0] * (width - len(coeffs))
-    b = list(target) + [0] * (width - len(target))
-    return max(abs(x - y) for x, y in zip(a, b))
+    """Coefficient-wise max distance to H_d; ``coeffs`` holds its d + 1
+    coefficients, lowest degree first, and any other length raises ValueError."""
+    return max(abs(x - y) for x, y in zip(coeffs, hermite(d), strict=True))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from bgrank.series import p2_values
 from bgrank.turan import (
     _distinct_real_roots,
     hermite,
+    hermite_distance,
     hyperbolicity_onset,
     is_hyperbolic,
     jensen_poly,
@@ -144,6 +145,13 @@ def test_hermite_values():
     assert hermite(4) == [12, 0, -12, 0, 1]
     with pytest.raises(ValueError):
         hermite(-1)
+
+
+def test_hermite_distance_needs_d_plus_one_coefficients():
+    assert hermite_distance([-2.0, 0.5, 1.0], 2) == 0.5
+    for coeffs in ([-2.0, 0.0], [-2.0, 0.0, 1.0, 0.0]):
+        with pytest.raises(ValueError):
+            hermite_distance(coeffs, 2)
 
 
 def test_hermite_recurrence_and_hyperbolicity():
