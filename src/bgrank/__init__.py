@@ -5,24 +5,21 @@ leading-term circle-method asymptotics, and Jensen/Hermite convergence
 checks with exact hyperbolicity certificates.
 
 Series, counting tables, joint tables (one {quotient rank: count} dict per
-size), Jensen coefficients, Sturm chains and hook lengths are plain lists,
-dicts and tuples; the O(N^2) series oracle behind ``bgrank validate`` is not
-exported.  ``StatTable`` (``bgrank.cache``) is a table as ``bgrank table``
-serves and caches it: kind, params and its ``n,value`` text, whose values
-are parsed on first read when the table came from a cache file.
+size), Jensen coefficients and Sturm chains are plain lists, dicts and
+tuples; a ``Partition``'s cores and quotients are read off its t-abacus;
+the O(N^2) series oracle behind ``bgrank validate`` is not exported.
+``StatTable`` (``bgrank.cache``) is a table as ``bgrank table`` serves and
+caches it: kind, params and its ``n,value`` text, whose values are parsed
+on first read when the table came from a cache file.
 Every experiment, the onset atlas included, is a ``bgrank`` subcommand
 (``bgrank.cli``), whose ``_STATS`` names each table's kind and route."""
 
 from ._meta import TOOL_VERSION as __version__
 from .partitions import (
-    EMPTY,
     Partition,
     bg_core_size,
     bg_rank,
-    conjugate,
     enumerate_partitions,
-    hook_lengths,
-    is_t_core,
     littlewood_compose,
     littlewood_decompose,
     rank_census,

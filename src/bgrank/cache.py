@@ -83,11 +83,6 @@ class StatTable:
     def n_max(self) -> int:
         return self.csv.count("\n") - 2
 
-    def __eq__(self, other):
-        if not isinstance(other, StatTable):
-            return NotImplemented
-        return (self.kind, self.params, self.csv) == (other.kind, other.params, other.csv)
-
 
 def _header(kind: str, params: dict, n_max: int) -> str:
     """The magic and meta lines save_table writes for this request."""

@@ -1,5 +1,4 @@
-"""Exact combinatorics of integer partitions: conjugation, hook lengths (a
-tuple of rows, one per part), t-cores and t-quotients
+"""Exact combinatorics of integer partitions: t-cores and t-quotients
 (``littlewood_decompose`` and its inverse ``littlewood_compose``), and the
 two alternating-parity rank statistics; the 2-quotient rank reads the
 components of ``littlewood_decompose(p, 2)``.
@@ -7,8 +6,9 @@ components of ``littlewood_decompose(p, 2)``.
 Beta-set convention used by the core/quotient maps: a partition padded to
 ``s`` parts (``s`` a multiple of ``t``, zero parts allowed) is encoded as the
 strictly decreasing set ``{part_i + s - i : 1 <= i <= s}``.  Residues mod
-``t`` split the beta numbers into the ``t`` quotient components; component
-``r`` collects the numbers congruent to ``r``.  Padding by further blocks of
+``t`` split the beta numbers into the ``t`` quotient components (the runners
+of the t-abacus); component ``r`` collects the numbers congruent to ``r``,
+and cores are decided on the same abacus.  Padding by further blocks of
 ``t`` zero parts leaves core, quotients and their labels unchanged, so the
 map is well defined.  For ``t = 2`` this labeling gives the two partitions
 of 2 the rank multiset ``{+1, -1}``, which is the normalization the series
@@ -31,7 +31,10 @@ class Partition:
     parts: tuple[int, ...] = ()
 
     def __post_init__(self):
-        parts = tuple(operator.index(x) for x in self.parts)
+        # tuple() of a list, not of a generator: a generator's tuple is made
+        # with room for 10 items and then shrunk, so once freed it piles up on
+        # a free list that new tuples seldom draw from
+        parts = tuple([operator.index(x) for x in self.parts])
         object.__setattr__(self, "parts", parts)
         for i, x in enumerate(parts):
             if x < 1:
@@ -44,39 +47,9 @@ class Partition:
         return sum(self.parts)
 
 
-EMPTY = Partition(())
-
-
 def bg_core_size(j: int) -> int:
     """Size j(2j-1) of the 2-core forced by alternating-parity rank j."""
     return j * (2 * j - 1)
-
-
-def conjugate(p: Partition) -> Partition:
-    """Transpose of the Ferrers diagram: column lengths become parts."""
-    parts = p.parts
-    if not parts:
-        return EMPTY
-    cols = tuple(sum(1 for x in parts if x >= j) for j in range(1, parts[0] + 1))
-    return Partition(cols)
-
-
-def hook_lengths(p: Partition) -> tuple[tuple[int, ...], ...]:
-    """Hook lengths h(k, j) = (row_k - j) + (col_j - k) + 1, one row per part."""
-    parts = p.parts
-    conj = conjugate(p).parts
-    # row index k is 0-based, so (row_k - j) + (col_j - (k+1)) + 1 = parts[k] - j + conj[j-1] - k
-    return tuple(
-        tuple(parts[k] - j + conj[j - 1] - k for j in range(1, parts[k] + 1))
-        for k in range(len(parts))
-    )
-
-
-def is_t_core(p: Partition, t: int) -> bool:
-    """True iff no hook length of p is divisible by t (t >= 2)."""
-    if t < 2:
-        raise ValueError(f"t must be >= 2, got {t}")
-    return not any(h % t == 0 for row in hook_lengths(p) for h in row)
 
 
 def beta_numbers(p: Partition, slots: int) -> list[int]:
@@ -89,7 +62,7 @@ def beta_numbers(p: Partition, slots: int) -> list[int]:
 
 def _partition_from_beta(beta_desc: Sequence[int]) -> Partition:
     s = len(beta_desc)
-    return Partition(tuple(b - (s - 1 - i) for i, b in enumerate(beta_desc) if b > s - 1 - i))
+    return Partition(tuple([b - (s - 1 - i) for i, b in enumerate(beta_desc) if b > s - 1 - i]))
 
 
 def littlewood_decompose(p: Partition, t: int) -> tuple[Partition, tuple[Partition, ...]]:
@@ -104,7 +77,7 @@ def littlewood_decompose(p: Partition, t: int) -> tuple[Partition, tuple[Partiti
     by_class: list[list[int]] = [[] for _ in range(t)]
     for b in beta_numbers(p, s):
         by_class[b % t].append(b // t)
-    quotients = tuple(_partition_from_beta(ms) for ms in by_class)
+    quotients = tuple([_partition_from_beta(ms) for ms in by_class])
     core_beta = sorted(
         (i * t + r for r in range(t) for i in range(len(by_class[r]))),
         reverse=True,
@@ -119,13 +92,16 @@ def littlewood_compose(core: Partition, quotients: Sequence[Partition], t: int) 
     quotients = tuple(quotients)
     if len(quotients) != t:
         raise ValueError(f"expected {t} quotient components, got {len(quotients)}")
-    if not is_t_core(core, t):
-        raise ValueError("core argument is not a t-core")
     widest = max((len(q.parts) for q in quotients), default=0)
     s = t * (len(core.parts) + widest + 2)
+    core_beta = beta_numbers(core, s)
     counts = [0] * t
-    for b in beta_numbers(core, s):
+    for b in core_beta:
         counts[b % t] += 1
+    # a t-core is a partition whose beads sit flush at the foot of every
+    # runner of its t-abacus (James-Kerber, 1981)
+    if any(b // t >= counts[b % t] for b in core_beta):
+        raise ValueError("core argument is not a t-core")
     beta = []
     for r in range(t):
         for m in beta_numbers(quotients[r], counts[r]):

@@ -91,7 +91,8 @@ def sturm_chain(coeffs: Sequence) -> tuple[tuple[int, ...], ...]:
         if not r:
             break
         chain.append(r)
-    return tuple(tuple(c) for c in chain)
+    # tuple() of a list, not of a generator: see partitions.Partition.__post_init__
+    return tuple([tuple(c) for c in chain])
 
 
 def _distinct_real_roots(chain: Sequence[Sequence[int]]) -> int:
@@ -118,7 +119,8 @@ def jensen_poly(seq: Sequence[int], d: int, n: int) -> tuple[int, ...]:
         raise ValueError("n must be >= 0")
     if n + d >= len(seq):
         raise ValueError(f"sequence must be defined on [{n}, {n + d}]")
-    return tuple(math.comb(d, k) * seq[n + k] for k in range(d + 1))
+    # tuple() of a list, not of a generator: see partitions.Partition.__post_init__
+    return tuple([math.comb(d, k) * seq[n + k] for k in range(d + 1)])
 
 
 def is_hyperbolic(coeffs: Sequence) -> bool:

@@ -10,12 +10,14 @@ import io
 import json
 import threading
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bgrank import asymptotics, cli, partitions, series, turan
 from bgrank._meta import TOOL_VERSION
 from bgrank.cache import (
     CacheWriteError,
@@ -33,6 +35,10 @@ from bgrank.series import p2_values, p_values, pbar_abn_table, pbar_values
 
 def p_table(n_max):
     return StatTable("p", {}, p_values(n_max))
+
+
+def same_table(got, want):
+    return (got.kind, got.params, got.csv) == (want.kind, want.params, want.csv)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +141,7 @@ def test_cache_detects_corruption(tmp_path):
         path.write_bytes(raw)
         assert load_table(tmp_path, "p", {}, 30) is None, raw
         # get_table recomputes and repairs the file
-        assert get_table("p", {}, 30, lambda: p_values(30), tmp_path) == table
+        assert same_table(get_table("p", {}, 30, lambda: p_values(30), tmp_path), table)
         assert path.read_bytes() == original
 
 
@@ -145,7 +151,7 @@ def test_cache_misses(tmp_path):
     save_table(tmp_path, table)
     assert load_table(tmp_path, "pbar_j", {"j": 2}, 11) is None  # different n_max
     assert load_table(tmp_path, "pbar_j", {"j": 3}, 10) is None  # different params
-    assert load_table(tmp_path, "pbar_j", {"j": 2}, 10) == table
+    assert same_table(load_table(tmp_path, "pbar_j", {"j": 2}, 10), table)
 
 
 def test_cache_rejects_other_tool_version(tmp_path):
@@ -213,7 +219,7 @@ def test_cache_inspect(tmp_path):
     assert entry.kind == "pbar_jab"
     assert entry.params == {"j": 0, "a": 1, "b": 5}
     assert entry.n_max == 20
-    assert entry == table and entry.values == table.values
+    assert same_table(entry, table) and entry.values == table.values
     assert inspect_cache_file(tmp_path / "missing.csv") is None
 
 
@@ -279,14 +285,14 @@ def test_cache_reject_reasons(tmp_path, capsys):
     assert load() is None
     path = save_table(tmp_path, p_table(30))
     original = path.read_bytes()
-    assert load() == p_table(30)
+    assert same_table(load(), p_table(30))
     path.write_bytes(original.replace(b"v2", b"v1", 1))
     assert load() is None
     path.write_bytes(original[:-2] + b"8\n")  # p(30) = 5604 -> 5608
     assert load() is None
-    assert get_table("p", {}, 30, lambda: p_values(30), tmp_path) == p_table(30)
+    assert same_table(get_table("p", {}, 30, lambda: p_values(30), tmp_path), p_table(30))
     assert capsys.readouterr().err == f"[cache] miss {path}: checksum\n"
-    assert get_table("p", {}, 30, lambda: p_values(30), tmp_path) == p_table(30)
+    assert same_table(get_table("p", {}, 30, lambda: p_values(30), tmp_path), p_table(30))
     assert capsys.readouterr().err == ""
     path.unlink()
     path.mkdir()
@@ -574,6 +580,66 @@ def test_cli_uses_cache_dir(tmp_path, capsys, selectors):
 
 def test_cli_validate(capsys):
     assert main(["--no-cache", "validate"]) == 0
+
+
+def _load_unverified(directory, kind, params, n_max, **_):
+    """A loader that serves the data block after the magic, meta and sha
+    lines without checking it."""
+    text = (Path(directory) / cache_filename(kind, params, n_max)).read_text(encoding="ascii")
+    return StatTable._from_csv(kind, params, text.split("\n", 3)[3])
+
+
+# For each validate check, in suite order: the one input it reads, broken.
+# The breaks call the originals in their home modules, which stay unpatched.
+_VALIDATE_BREAKS = {
+    "littlewood-round-trip": ("bgrank.cli.littlewood_compose", lambda core, quots, t: core),
+    "core-size-vs-rank": ("bgrank.cli.bg_core_size", lambda j: partitions.bg_core_size(j) + 1),
+    "census-totals": (
+        "bgrank.cli.rank_census",
+        lambda n: partitions.rank_census(n) + Counter({(0, 0): 1}),
+    ),
+    "table-anchors": ("bgrank.cli.p2_values", lambda n: [v + 1 for v in series.p2_values(n)]),
+    "global-partition-of-p": ("bgrank.cli.ranks_with_support", lambda n: series.ranks_with_support(n)[1:]),
+    "triple-oracle": (
+        "bgrank.cli.pbar_abn_values",
+        lambda j, b, n: [[v + 1 for v in row] for row in series.pbar_abn_values(j, b, n)],
+    ),
+    "series-inverse-pair-counts": (
+        "bgrank.cli.series_invert",
+        lambda a: [v + 1 for v in series.series_invert(a)],
+    ),
+    "dilog-identity": ("bgrank.cli.dilog_identity_residual", lambda z: 1.0),
+    "wright-calibration": (
+        "bgrank.cli.wright_coefficient",
+        lambda A, B: 2 * asymptotics.wright_coefficient(A, B),
+    ),
+    "hermite-recurrence": (
+        "bgrank.cli.hermite",
+        lambda d: [*turan.hermite(d)[:-1], turan.hermite(d)[-1] + 1],
+    ),
+    # a scan from m = 6 misses the failures at m = 1 and m = 5
+    "pair-count-log-concavity": (
+        "bgrank.cli.turan_report",
+        lambda seq, order, rng: turan.turan_report(seq, order, (6, rng[1])),
+    ),
+    "cache-integrity": ("bgrank.cache.load_table", _load_unverified),
+}
+
+
+@pytest.mark.parametrize("name", list(_VALIDATE_BREAKS))
+def test_every_validate_check_can_fail(name, monkeypatch):
+    checks = cli._validation_checks()
+    assert list(_VALIDATE_BREAKS) == [check for check, _ in checks]
+    monkeypatch.setattr(*_VALIDATE_BREAKS[name])
+    ok, _ = dict(checks)[name]()
+    assert ok is False
+
+
+def test_cli_validate_failed_check_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(*_VALIDATE_BREAKS["dilog-identity"])
+    assert main(["--no-cache", "validate"]) == 1
+    err = capsys.readouterr().err
+    assert "[validate] FAIL dilog-identity  max inversion-identity residual 1.00e+00\n" in err
 
 
 def test_cli_joint(tmp_path):

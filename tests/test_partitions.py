@@ -5,21 +5,47 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bgrank.partitions import (
-    EMPTY,
     Partition,
     beta_numbers,
     bg_core_size,
     bg_rank,
-    conjugate,
     enumerate_partitions,
-    hook_lengths,
-    is_t_core,
     littlewood_compose,
     littlewood_decompose,
     rank_census,
     two_quotient_rank,
 )
 from bgrank.series import p_values
+
+EMPTY = Partition()
+
+
+# The classical definition of a t-core through hook lengths, independent of the
+# abacus that littlewood_compose decides cores on.
+
+
+def conjugate(p):
+    """Transpose of the Ferrers diagram: column lengths become parts."""
+    parts = p.parts
+    if not parts:
+        return EMPTY
+    return Partition(tuple(sum(1 for x in parts if x >= j) for j in range(1, parts[0] + 1)))
+
+
+def hook_lengths(p):
+    """Hook lengths h(k, j) = (row_k - j) + (col_j - k) + 1, one row per part."""
+    parts = p.parts
+    conj = conjugate(p).parts
+    # row index k is 0-based, so (row_k - j) + (col_j - (k+1)) + 1 = parts[k] - j + conj[j-1] - k
+    return tuple(
+        tuple(parts[k] - j + conj[j - 1] - k for j in range(1, parts[k] + 1))
+        for k in range(len(parts))
+    )
+
+
+def is_t_core(p, t):
+    """True iff no hook length of p is divisible by t."""
+    return not any(h % t == 0 for row in hook_lengths(p) for h in row)
 
 
 def parts_strategy(max_part=12, max_len=10):
@@ -77,8 +103,6 @@ def test_is_t_core():
     assert is_t_core(EMPTY, 2)
     assert is_t_core(Partition((2, 1)), 2)  # hooks {3, 1, 1}
     assert not is_t_core(Partition((2, 2)), 2)  # hook 2 present
-    with pytest.raises(ValueError):
-        is_t_core(EMPTY, 1)
 
 
 def test_staircases_are_2_cores():
@@ -98,10 +122,25 @@ def test_littlewood_examples():
 
 
 def test_compose_rejects_non_core():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a t-core"):
         littlewood_compose(Partition((2, 2)), (EMPTY, EMPTY), 2)
     with pytest.raises(ValueError):
         littlewood_compose(EMPTY, (EMPTY,), 2)
+    with pytest.raises(ValueError):
+        littlewood_compose(EMPTY, (EMPTY,), 1)
+
+
+def test_compose_accepts_exactly_the_hook_defined_cores():
+    # 1524 cases: every partition of n <= 14, each for t = 2, 3, 4
+    for n in range(15):
+        for p in enumerate_partitions(n):
+            for t in (2, 3, 4):
+                quots = (EMPTY,) * t
+                if is_t_core(p, t):
+                    assert littlewood_compose(p, quots, t) == p
+                else:
+                    with pytest.raises(ValueError, match="not a t-core"):
+                        littlewood_compose(p, quots, t)
 
 
 def test_littlewood_roundtrip_exhaustive():
@@ -122,19 +161,16 @@ def test_littlewood_roundtrip_random(p, t):
     assert littlewood_compose(core, quots, t) == p
 
 
-@given(
-    parts_strategy(max_part=9, max_len=6),
-    st.lists(st.lists(st.integers(1, 6), max_size=5), min_size=2, max_size=2),
-)
+@given(st.integers(2, 5), parts_strategy(max_part=9, max_len=6), st.data())
 @settings(max_examples=150)
-def test_littlewood_inverse_from_data(seed, raw_quots):
-    # arbitrary (core, quotient pair) composes to a partition that decomposes
-    # back to exactly the same data: the map is onto and two-sided
-    core, _ = littlewood_decompose(seed, 2)
-    quots = tuple(Partition(tuple(sorted(xs, reverse=True))) for xs in raw_quots)
-    composed = littlewood_compose(core, quots, 2)
-    assert composed.size == core.size + 2 * sum(q.size for q in quots)
-    back_core, back_quots = littlewood_decompose(composed, 2)
+def test_littlewood_inverse_from_data(t, seed, data):
+    # an arbitrary core with t arbitrary quotients composes to a partition that
+    # decomposes back to exactly the same data: the map is onto and two-sided
+    core, _ = littlewood_decompose(seed, t)
+    quots = tuple(data.draw(parts_strategy(max_part=6, max_len=5)) for _ in range(t))
+    composed = littlewood_compose(core, quots, t)
+    assert composed.size == core.size + t * sum(q.size for q in quots)
+    back_core, back_quots = littlewood_decompose(composed, t)
     assert back_core == core and back_quots == quots
 
 
