@@ -9,16 +9,19 @@ constant of the rank counts is fitted by ``bgrank asympt``, not restated here.
 
 Everything here works in 64-bit binary floating point; the exact-arithmetic
 counterparts live in the series module.
+
+numpy serves only ``lerch_phi_unit`` and is imported on that function's
+first call, not with this module: the exact tables, the Turan and Jensen
+scans and every CLI command but ``validate`` (and ``report``, which runs it)
+start without loading it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import NamedTuple
 
 _UNIT_TOL = 1e-12
 _CUTOFF = 1e-16
@@ -49,6 +52,10 @@ def lerch_phi_unit(z: complex, tol: float = 1e-12) -> complex:
     if m_terms > 50_000_000:
         raise ValueError("z too close to 1 for the requested tolerance")
     theta = math.atan2(z.imag, z.real)
+    # imported here, not at module level: no other bgrank path uses numpy, and
+    # its import is most of what a CLI process would otherwise spend starting
+    import numpy as np
+
     # in place, so the temporaries that set the report's peak memory stay few:
     # at most one float and one complex array of m_terms + 1 entries
     n = np.arange(0, m_terms + 1, dtype=np.float64)
@@ -131,21 +138,19 @@ def h_congruence_numeric(b: int, z: complex) -> list[complex]:
 # Wright-form coefficient asymptotics
 
 
-@dataclass(frozen=True)
 class WrightParams:
     """Leading singular data: F(e^{-z}) ~ alpha z^B e^{A/z}, with arc_factor
     counting the dominant arcs that contribute equally."""
 
-    A: float
-    B: float
-    alpha: float
-    arc_factor: int = 1
-
-    def __post_init__(self):
-        if self.A <= 0:
+    def __init__(self, A: float, B: float, alpha: float, arc_factor: int = 1):
+        if A <= 0:
             raise ValueError("A must be positive")
-        if self.arc_factor < 1:
+        if arc_factor < 1:
             raise ValueError("arc_factor must be >= 1")
+        self.A = A
+        self.B = B
+        self.alpha = alpha
+        self.arc_factor = arc_factor
 
 
 def wright_coefficient(A: float, B: float) -> float:
@@ -179,15 +184,13 @@ def rank_count_params(b: int = 1) -> WrightParams:
 # arc dominance report
 
 
-@dataclass(frozen=True)
-class ArgInequalityCheck:
+class ArgInequalityCheck(NamedTuple):
     k: int
     angle_over_pi: Fraction  # arg(-w^k)/pi reduced to (-1, 1]
     holds: bool
 
 
-@dataclass(frozen=True)
-class ArcSample:
+class ArcSample(NamedTuple):
     a: int
     slope: int
     x: float

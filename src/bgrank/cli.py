@@ -142,17 +142,18 @@ def cmd_joint(args) -> RunReport:
 def cmd_equidist(args) -> RunReport:
     j, b, n = args.j, args.b, args.n
     total = pbar_eta(j, n)  # first, so a negative n is reported as n
+    if not total:
+        core = bg_core_size(j)
+        raise ValueError(
+            f"no partition of --n {n} has BG-rank {j} (needs n >= {core} and n - {core} even)"
+        )
     tables = pbar_abn_values(j, b, n)
     rows = []
     max_dev = Fraction(0)
     for a in range(b):
         count = tables[a][n]
-        if total:
-            ratio = Fraction(b * count, total)
-            dev = abs(ratio - 1)
-        else:
-            ratio = Fraction(0)
-            dev = Fraction(0)
+        ratio = Fraction(b * count, total)
+        dev = abs(ratio - 1)
         max_dev = max(max_dev, dev)
         rows.append(
             {"a": a, "count": count, "ratio": float(ratio), "abs_dev": float(dev)}

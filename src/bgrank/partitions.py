@@ -19,28 +19,45 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
 
-@dataclass(frozen=True)
 class Partition:
-    """A weakly decreasing tuple of positive integers; () is the partition of 0."""
+    """A weakly decreasing tuple of positive integers; () is the partition of 0.
 
-    parts: tuple[int, ...] = ()
+    Immutable, equal and hashed by its parts."""
 
-    def __post_init__(self):
+    parts: tuple[int, ...]
+
+    def __init__(self, parts: Sequence[int] = ()):
         # tuple() of a list, not of a generator: a generator's tuple is made
         # with room for 10 items and then shrunk, so once freed it piles up on
         # a free list that new tuples seldom draw from
-        parts = tuple([operator.index(x) for x in self.parts])
-        object.__setattr__(self, "parts", parts)
+        parts = tuple([operator.index(x) for x in parts])
         for i, x in enumerate(parts):
             if x < 1:
                 raise ValueError(f"parts must be positive integers, got {x}")
             if i and parts[i - 1] < x:
                 raise ValueError(f"parts must be weakly decreasing: {parts}")
+        self.__dict__["parts"] = parts
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r} of an immutable Partition")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r} of an immutable Partition")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.parts)
+
+    def __repr__(self):
+        return f"Partition(parts={self.parts!r})"
 
     @cached_property
     def size(self) -> int:

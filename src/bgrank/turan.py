@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +90,7 @@ def sturm_chain(coeffs: Sequence) -> tuple[tuple[int, ...], ...]:
         if not r:
             break
         chain.append(r)
-    # tuple() of a list, not of a generator: see partitions.Partition.__post_init__
+    # tuple() of a list, not of a generator: see partitions.Partition.__init__
     return tuple([tuple(c) for c in chain])
 
 
@@ -119,7 +118,7 @@ def jensen_poly(seq: Sequence[int], d: int, n: int) -> tuple[int, ...]:
         raise ValueError("n must be >= 0")
     if n + d >= len(seq):
         raise ValueError(f"sequence must be defined on [{n}, {n + d}]")
-    # tuple() of a list, not of a generator: see partitions.Partition.__post_init__
+    # tuple() of a list, not of a generator: see partitions.Partition.__init__
     return tuple([math.comb(d, k) * seq[n + k] for k in range(d + 1)])
 
 
@@ -210,8 +209,7 @@ def hermite_distance(coeffs: Sequence[float], d: int) -> float:
 # inequality scans
 
 
-@dataclass(frozen=True)
-class TuranReport:
+class TuranReport(NamedTuple):
     """Exact scan of an inequality over an index window of a sequence."""
 
     holds: bool

@@ -153,6 +153,16 @@ def test_arc_dominance_small():
         arc_dominance_check(1)
 
 
+def test_arc_dominance_results_are_frozen():
+    arg_checks, samples = arc_dominance_check(2)
+    assert repr(arg_checks[0]) == "ArgInequalityCheck(k=1, angle_over_pi=Fraction(0, 1), holds=True)"
+    with pytest.raises(AttributeError):
+        arg_checks[0].holds = False
+    assert repr(samples[0]).startswith("ArcSample(a=0, slope=2, x=0.05, ratio=")
+    with pytest.raises(AttributeError):
+        samples[0].ok = False
+
+
 def test_h_congruence_numeric_consistency():
     # summing the numeric class series over a recovers the rank-only series
     z = 0.3 + 0.1j

@@ -452,6 +452,14 @@ def test_cli_negative_n_max_is_argument_error(argv, capsys):
         (["turan", "--order", "convexity", "--range", "0:-1"], "empty range"),
         (["turan", "--order", "2", "--range=-5:-3"], "order-2 scan needs indices [lo-1, hi+1] inside the sequence"),
         (["turan", "--order", "3", "--range=-9:-6"], "order-3 scan needs indices [lo, hi+3] inside the sequence"),
+        (
+            ["equidist", "--j", "0", "--b", "5", "--n", "11"],
+            "no partition of --n 11 has BG-rank 0 (needs n >= 0 and n - 0 even)",
+        ),
+        (
+            ["equidist", "--j", "3", "--b", "5", "--n", "14"],
+            "no partition of --n 14 has BG-rank 3 (needs n >= 15 and n - 15 even)",
+        ),
     ],
 )
 def test_cli_out_of_range_flag_is_named(argv, message, capsys):
@@ -722,10 +730,10 @@ _PINNED_OUTPUT = [
         "f77a86713895ac1f3a44b76443d51856ecdc982981f36fe4351f4ce567a2cfff",
     ),
     (
-        "equidist --j 2 --b 7 --n 101",
-        0,
-        "496d6b847f5bbaf0aa9aa357545ef180b7f1e8d9505f0914f6634a8765d9fa4d",
-        "0cc5608b8cfb94a5a2df12c0451e1e36f5b40175b09d255c4666897ee1a23b3c",
+        "equidist --j 2 --b 7 --n 101",  # 101 - 6 is odd: no partition has BG-rank 2
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     (
         "asympt --n-list 100,200,400",

@@ -65,6 +65,16 @@ def test_partition_validation():
         Partition((1.5,))
 
 
+def test_partition_value_semantics():
+    p = Partition((3, 1))
+    assert Partition([3, 1]) == p and hash(Partition([3, 1])) == hash(p)
+    assert type(Partition([3, 1]).parts) is tuple
+    assert p != (3, 1)
+    assert repr(p) == "Partition(parts=(3, 1))"
+    with pytest.raises(AttributeError):
+        p.parts = (4,)
+
+
 def test_conjugate_examples():
     assert conjugate(EMPTY) == EMPTY
     assert conjugate(Partition((2, 2))) == Partition((2, 2))

@@ -234,6 +234,13 @@ def test_turan_constant_sequence():
     assert rep.equalities == tuple(range(1, 29))
 
 
+def test_turan_report_is_frozen():
+    rep = turan_report([7] * 5, "2", (1, 3))
+    assert repr(rep) == "TuranReport(holds=True, failures=(), equalities=(1, 2, 3))"
+    with pytest.raises(AttributeError):
+        rep.holds = False
+
+
 def test_turan_validation():
     with pytest.raises(ValueError):
         turan_report([1, 2, 3], "2", (0, 1))
