@@ -37,7 +37,7 @@ import tempfile
 from pathlib import Path
 from typing import Callable
 
-from ._meta import TOOL_VERSION
+from . import __version__
 from .reporting import json_text
 
 MAGIC = "# stattable-cache v2"
@@ -86,7 +86,7 @@ class StatTable:
 
 def _header(kind: str, params: dict, n_max: int) -> str:
     """The magic and meta lines save_table writes for this request."""
-    meta = {"kind": kind, "n_max": n_max, "params": params, "tool_version": TOOL_VERSION}
+    meta = {"kind": kind, "n_max": n_max, "params": params, "tool_version": __version__}
     return f"{MAGIC}\n{_META}{json_text(meta)}\n"
 
 

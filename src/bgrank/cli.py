@@ -14,11 +14,9 @@ import math
 import os
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
-from . import cache, reporting
-from ._meta import TOOL_VERSION
+from . import __version__, cache, reporting
 from .asymptotics import (
     HR_PARAMS,
     arc_dominance_check,
@@ -149,15 +147,12 @@ def cmd_equidist(args) -> RunReport:
         )
     tables = pbar_abn_values(j, b, n)
     rows = []
-    max_dev = Fraction(0)
+    max_dev = 0.0
     for a in range(b):
         count = tables[a][n]
-        ratio = Fraction(b * count, total)
-        dev = abs(ratio - 1)
+        dev = abs(b * count - total) / total
         max_dev = max(max_dev, dev)
-        rows.append(
-            {"a": a, "count": count, "ratio": float(ratio), "abs_dev": float(dev)}
-        )
+        rows.append({"a": a, "count": count, "ratio": b * count / total, "abs_dev": dev})
     report = RunReport(
         command="equidist",
         params={"j": j, "b": b, "n": n},
@@ -165,7 +160,7 @@ def cmd_equidist(args) -> RunReport:
         rows=rows,
     )
     report.add_check("counts-sum-to-total", sum(t[n] for t in tables) == total, f"total={total}")
-    report.add_check("max-deviation", True, f"max |b*count/total - 1| = {float(max_dev):.3e}")
+    report.add_check("max-deviation", True, f"max |b*count/total - 1| = {max_dev:.3e}")
     return report
 
 
@@ -174,6 +169,9 @@ def cmd_asympt(args) -> RunReport:
     b = args.b
     if b < 1:
         raise ValueError("b must be >= 1")
+    if any(m >= n for m, n in zip(n_list, n_list[1:])):
+        # the checks read the last R as the largest n, and its gaps in order
+        raise ValueError("asympt --n-list must be strictly increasing")
     rows = []
     r_values = []
     for n in n_list:
@@ -537,7 +535,7 @@ def cmd_report(args) -> RunReport:
             {
                 "experiments": [name for name, _ in _REPORT_JOBS],
                 "passed": report.passed,
-                "tool_version": TOOL_VERSION,
+                "tool_version": __version__,
             }
         )
         + "\n",
@@ -573,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cache-dir", default=None, help="table cache directory")
     parser.add_argument("--no-cache", action="store_true", help="disable the on-disk cache")
     parser.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
-    parser.add_argument("--version", action="version", version=TOOL_VERSION)
+    parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=None)

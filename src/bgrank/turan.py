@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 
@@ -171,7 +170,7 @@ def renormalized_jensen(seq: Sequence[int], d: int, n: int, rs: tuple[float, flo
     overflow = f"renormalized Jensen polynomial at d = {d}, n = {n} overflows float64"
     out = []
     try:
-        weights = [float(Fraction(c, alpha0)) * e_a**-k for k, c in enumerate(coeffs)]
+        weights = [c / alpha0 * e_a**-k for k, c in enumerate(coeffs)]
         for i in range(d + 1):
             s = 0.0
             for k in range(i, d + 1):

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bgrank import asymptotics, cli, partitions, series, turan
-from bgrank._meta import TOOL_VERSION
+from bgrank import __version__ as TOOL_VERSION
 from bgrank.cache import (
     CacheWriteError,
     StatTable,
@@ -460,6 +460,8 @@ def test_cli_negative_n_max_is_argument_error(argv, capsys):
             ["equidist", "--j", "3", "--b", "5", "--n", "14"],
             "no partition of --n 14 has BG-rank 3 (needs n >= 15 and n - 15 even)",
         ),
+        (["asympt", "--n-list", "4,2"], "asympt --n-list must be strictly increasing"),
+        (["asympt", "--n-list", "1000,1000,1000"], "asympt --n-list must be strictly increasing"),
     ],
 )
 def test_cli_out_of_range_flag_is_named(argv, message, capsys):

@@ -1,27 +1,36 @@
-"""The public surface carries only names that the package itself uses."""
+"""Every name has one import path, its module, and every public definition
+has a reader."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import bgrank
 
 PACKAGE = Path(bgrank.__file__).parent
-PERFBENCH = Path(__file__).parents[1] / "perfbench"
+ROOT = Path(__file__).parents[1]
+PERFBENCH = ROOT / "perfbench"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 
 # the paper's leading term for the rank counts, to be printed by `asympt`
 AWAITING_A_CALLER = {"wright_asymptotic", "rank_count_params"}
 
 
-def _exported_names() -> set[str]:
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    return {
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-        if not (alias.asname or alias.name).startswith("_")
-    }
+def _fresh_python(code: str) -> dict:
+    """What ``code`` prints as JSON in a new interpreter run from the repo
+    root, with ``src`` on the path so that any import of bgrank succeeds."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 def _defined_names() -> set[str]:
@@ -51,11 +60,25 @@ def _used_names(paths) -> set[str]:
     return used
 
 
-def test_every_export_has_a_caller_in_the_package():
-    exported = _exported_names()
-    assert AWAITING_A_CALLER <= exported
-    unused = exported - _used_names(MODULES) - AWAITING_A_CALLER
-    assert not unused, f"exported but never used inside bgrank: {sorted(unused)}"
+def test_the_package_namespace_binds_only_the_version():
+    got = _fresh_python(
+        "import json, sys, bgrank; print(json.dumps({"
+        "'submodules': sorted(m for m in sys.modules if m.startswith('bgrank.')), "
+        "'public': sorted(k for k in vars(bgrank) if not k.startswith('_')), "
+        "'version_type': type(bgrank.__version__).__name__}))"
+    )
+    assert got == {"submodules": [], "public": [], "version_type": "str"}
+
+
+def test_packaging_reads_the_version_without_importing_bgrank():
+    pytest.importorskip("setuptools")
+    got = _fresh_python(
+        "import json, sys\n"
+        "from setuptools.config.pyprojecttoml import read_configuration\n"
+        "version = read_configuration('pyproject.toml')['project']['version']\n"
+        "print(json.dumps({'version': version, 'imported': 'bgrank' in sys.modules}))"
+    )
+    assert got == {"version": bgrank.__version__, "imported": False}
 
 
 def test_every_public_definition_has_a_reader():
