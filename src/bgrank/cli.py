@@ -172,12 +172,13 @@ def cmd_asympt(args) -> RunReport:
     if any(m >= n for m, n in zip(n_list, n_list[1:])):
         # the checks read the last R as the largest n, and its gaps in order
         raise ValueError("asympt --n-list must be strictly increasing")
+    if any(n % 2 or n < 2 for n in n_list):
+        raise ValueError("asympt n-list entries must be even and >= 2")
+    table = pbar_values(0, n_list[-1]) if b == 1 else pbar_abn_table(0, 0, b, n_list[-1])
     rows = []
     r_values = []
     for n in n_list:
-        if n % 2 or n < 2:
-            raise ValueError("asympt n-list entries must be even and >= 2")
-        count = pbar_eta(0, n) if b == 1 else pbar_abn_table(0, 0, b, n)[n]
+        count = table[n]
         scaled = b * count
         if scaled == 0:
             raise ValueError(f"count is zero at n = {n}; pick a larger n for b = {b}")

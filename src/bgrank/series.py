@@ -22,9 +22,10 @@ Three independent exact routes to the same counts live here:
 oracle behind the validation suite's series-inverse check.  Series are plain
 coefficient lists, low degree first; all coefficients are arbitrary-precision
 integers and floats never enter; ``bgrank.cli._STATS`` names the tables
-and ``bgrank.cache`` holds their text.  The memos (p, p2 and the residue
-rows) are process-wide and take no lock: the package starts no thread, so
-callers that do must not grow them from two threads at once.
+and ``bgrank.cache`` holds their text.  The memos (p and p2) are
+process-wide and take no lock: the package starts no thread, so callers
+that do must not grow them from two threads at once.  The residue-class
+tables keep none: each call builds its rows once.
 """
 
 from __future__ import annotations
@@ -119,12 +120,6 @@ def ranks_with_support(n_max: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # congruence-class tables from crank sums over p2
 
-# b -> rows of the classes a <= b/2 (class b - a is class a mirrored), built
-# for the largest Q-degree asked so far (the rank j only shifts them by its
-# 2-core); smaller requests are served from a prefix.
-_PBAR_AB: dict[int, list[list[int]]] = {}
-
-
 def _residue_rows(b: int, nq: int) -> list[list[int]]:
     """Rows[a][m] for a = 0..min(b // 2, nq): coefficient of Q^m, summed over
     quotient ranks = a mod b.
@@ -164,6 +159,17 @@ def _residue_rows(b: int, nq: int) -> list[list[int]]:
     return half
 
 
+def _class_rows(j: int, b: int, n_max: int) -> list[list[int]]:
+    """One _residue_rows build, each row placed at rank j (Q^m at size
+    core + 2m); no rows when the 2-core does not fit in n_max."""
+    core = bg_core_size(j)
+    rows = _residue_rows(b, (n_max - core) // 2) if core <= n_max else []
+    for a, row in enumerate(rows):
+        rows[a] = [0] * (n_max + 1)
+        rows[a][core::2] = row
+    return rows
+
+
 def pbar_abn_table(j: int, a: int, b: int, n_max: int) -> list[int]:
     """Counts of size 0..n_max with rank j and quotient rank = a mod b; the
     build's cost stops growing with b past n_max (see _residue_rows)."""
@@ -173,23 +179,23 @@ def pbar_abn_table(j: int, a: int, b: int, n_max: int) -> list[int]:
         raise ValueError("b must be >= 2")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    shift = bg_core_size(j)
-    out = [0] * (n_max + 1)
-    if n_max < shift or min(a, b - a) > (n_max - shift) // 2:
-        return out
-    nq = (n_max - shift) // 2
-    rows = _PBAR_AB.get(b)
-    if rows is None or len(rows[0]) <= nq:
-        rows = _PBAR_AB[b] = _residue_rows(b, nq)
-    out[shift::2] = rows[min(a, b - a)][: nq + 1]
-    return out
+    if min(a, b - a) > (n_max - bg_core_size(j)) // 2:
+        return [0] * (n_max + 1)
+    return _class_rows(j, b, n_max)[min(a, b - a)]
 
 
 def pbar_abn_values(j: int, b: int, n_max: int) -> list[list[int]]:
-    """For each residue a, counts of size 0..n_max with rank j and quotient rank = a mod b."""
+    """For each residue a, counts of size 0..n_max with rank j and quotient
+    rank = a mod b.  Rows are shared: class b - a is the same list as class
+    a, and every class that is zero through n_max is one list of zeros, so
+    read, do not mutate."""
     if b < 2:
         raise ValueError("b must be >= 2")
-    return [pbar_abn_table(j, a, b, n_max) for a in range(b)]
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    rows = _class_rows(j, b, n_max)
+    zero = [0] * (n_max + 1)
+    return [rows[min(a, b - a)] if min(a, b - a) < len(rows) else zero for a in range(b)]
 
 
 # ---------------------------------------------------------------------------

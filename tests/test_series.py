@@ -162,7 +162,6 @@ def test_orthogonality_failure_is_loud(monkeypatch):
         values[4] += 1
         return values
 
-    monkeypatch.setattr(series_mod, "_PBAR_AB", {})
     monkeypatch.setattr(series_mod, "pbar_values", off_by_one)
     with pytest.raises(OrthogonalityError, match="pbar"):
         series_mod.pbar_abn_values(0, 5, 8)
@@ -201,7 +200,7 @@ def test_pbar_abn_serves_prefix_of_larger_build():
     assert [row[:121] for row in pbar_abn_values(1, 7, 201)] == large
 
 
-def test_pbar_abn_memo_builds_once_per_q_degree(monkeypatch):
+def test_pbar_abn_builds_once_per_call(monkeypatch):
     import bgrank.series as series_mod
 
     builds = []
@@ -211,17 +210,35 @@ def test_pbar_abn_memo_builds_once_per_q_degree(monkeypatch):
         builds.append((b, nq))
         return real(b, nq)
 
-    monkeypatch.setattr(series_mod, "_PBAR_AB", {})
     monkeypatch.setattr(series_mod, "_residue_rows", spy)
-    # the rank only shifts the rows and smaller n are prefixes: one build
-    for n in (200, 150, 91, 40, 7, 0):
-        for j in (0, 1, -1, 2):
-            pbar_abn_values(j, 7, n)
-    assert builds == [(7, 100)]
-    # a larger Q-degree rebuilds once, then serves every rank from it
-    for j in (0, 1, -1, 2):
-        pbar_abn_values(j, 7, 260)
-    assert builds == [(7, 100), (7, 130)]
+    # no memo: every call builds once, a repeated call builds again
+    for _ in range(2):
+        pbar_abn_values(1, 7, 41)
+        pbar_abn_table(0, 3, 7, 40)
+    assert builds == [(7, 20), (7, 20)] * 2
+    # zero classes and cores past n_max build nothing
+    assert pbar_abn_table(0, 30, 70, 40) == [0] * 41
+    assert pbar_abn_table(3, 0, 7, 10) == [0] * 11
+    assert pbar_abn_values(3, 7, 10) == [[0] * 11] * 7
+    assert len(builds) == 4
+
+
+def test_pbar_abn_values_shares_rows_and_stays_small():
+    import tracemalloc
+
+    b = 10**5
+    p2_values(20)  # the memo the build reads
+    tracemalloc.start()
+    try:
+        v = pbar_abn_values(0, b, 40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one list per class would peak at some 37 MiB
+    assert peak < 4 * 1024 * 1024, peak
+    assert all(v[a] is v[b - a] for a in range(1, b))
+    assert v[30] is v[b // 2]
+    assert [sum(t[n] for t in v) for n in range(41)] == pbar_values(0, 40)
 
 
 @given(j=st.integers(-3, 3), b=st.integers(2, 12), data=st.data())
@@ -261,7 +278,6 @@ def test_pbar_abn_table_memory_does_not_grow_with_b(monkeypatch):
 
     import bgrank.series as series_mod
 
-    monkeypatch.setattr(series_mod, "_PBAR_AB", {})
     p2_values(5)  # the memo the build reads
     tracemalloc.start()
     try:

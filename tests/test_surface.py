@@ -88,3 +88,14 @@ def test_every_public_definition_has_a_reader():
     assert AWAITING_A_CALLER <= defined
     unread = defined - _used_names([*MODULES, *PERFBENCH.glob("*.py")]) - AWAITING_A_CALLER
     assert not unread, f"defined but never read in bgrank or perfbench: {sorted(unread)}"
+
+
+def test_series_keeps_no_state_but_the_p_and_p2_memos():
+    # the module docstring promises process-wide memos for p and p2 only;
+    # dunders such as __builtins__ are the interpreter's, not state
+    got = _fresh_python(
+        "import json, bgrank.series as s; print(json.dumps(sorted("
+        "k for k, v in vars(s).items() "
+        "if isinstance(v, (list, dict, set)) and not k.startswith('__'))))"
+    )
+    assert got == ["_P", "_P2"]
