@@ -62,6 +62,10 @@ CACHE_ENV = "BGRANK_CACHE_DIR"
 # d = 2..55 several seconds
 ONSET_MAX_DEGREE = 24
 
+# equidist prints one row per class mod b: at --n 1000, b = 10**6 peaks at about
+# 420 MiB (CSV) and 950 MiB (JSON) on an x86-64 Linux host, linear in b
+EQUIDIST_MAX_B = 10**6
+
 CANDIDATE_DIRECT = 6.0**-0.75
 CANDIDATE_PRINTED = math.sqrt(2.0) * 6.0**-0.75
 
@@ -115,7 +119,7 @@ def cmd_table(args) -> RunReport:
         command="table",
         params={"stat": stat, **params, "n_max": args.n_max},
         columns=("n", "value"),
-        rows=lambda: [{"n": n, "value": v} for n, v in enumerate(table.values)],
+        rows=lambda: list(enumerate(table.values)),
         csv=table.csv,
     )
     report.add_check("table-built", table.n_max == args.n_max, f"kind={kind} route={route}")
@@ -128,7 +132,7 @@ def cmd_joint(args) -> RunReport:
         command="joint",
         params={"j": args.j, "n_max": args.n_max},
         columns=("n", "m", "count"),
-        rows=[{"n": n, "m": m, "count": row[m]} for n, row in enumerate(joint) for m in sorted(row)],
+        rows=[(n, m, row[m]) for n, row in enumerate(joint) for m in sorted(row)],
     )
     symmetric = all(row.get(-m, 0) == c for row in joint for m, c in row.items())
     report.add_check("rank-symmetry", symmetric, "counts at m and -m agree")
@@ -145,6 +149,8 @@ def cmd_equidist(args) -> RunReport:
         raise ValueError(
             f"no partition of --n {n} has BG-rank {j} (needs n >= {core} and n - {core} even)"
         )
+    if not 2 <= b <= EQUIDIST_MAX_B:
+        raise ValueError(f"equidist needs 2 <= --b <= {EQUIDIST_MAX_B}")
     tables = pbar_abn_values(j, b, n)
     rows = []
     max_dev = 0.0
@@ -152,7 +158,7 @@ def cmd_equidist(args) -> RunReport:
         count = tables[a][n]
         dev = abs(b * count - total) / total
         max_dev = max(max_dev, dev)
-        rows.append({"a": a, "count": count, "ratio": b * count / total, "abs_dev": dev})
+        rows.append((a, count, b * count / total, dev))
     report = RunReport(
         command="equidist",
         params={"j": j, "b": b, "n": n},
@@ -184,15 +190,7 @@ def cmd_asympt(args) -> RunReport:
             raise ValueError(f"count is zero at n = {n}; pick a larger n for b = {b}")
         r = math.exp(math.log(scaled) + 1.25 * math.log(n) - math.pi * math.sqrt(2.0 * n / 3.0))
         r_values.append(r)
-        rows.append(
-            {
-                "n": n,
-                "count": count,
-                "R": r,
-                "dist_direct": abs(r - CANDIDATE_DIRECT),
-                "dist_printed": abs(r - CANDIDATE_PRINTED),
-            }
-        )
+        rows.append((n, count, r, abs(r - CANDIDATE_DIRECT), abs(r - CANDIDATE_PRINTED)))
     report = RunReport(
         command="asympt",
         params={"n_list": list(n_list), "b": b},
@@ -227,7 +225,7 @@ def cmd_jensen(args) -> RunReport:
     seq = p2_values(n + d + 1)
     if args.renormalized:
         coeffs = renormalized_jensen(seq, d, n, renorm_sequences_step2(n))
-        rows = [{"k": k, "coefficient": c, "hermite": h} for k, (c, h) in enumerate(zip(coeffs, hermite(d)))]
+        rows = [(k, c, h) for k, (c, h) in enumerate(zip(coeffs, hermite(d)))]
         dist = hermite_distance(coeffs, d)
         report = RunReport(
             command="jensen",
@@ -238,7 +236,7 @@ def cmd_jensen(args) -> RunReport:
         report.add_check("hermite-distance", True, f"max coefficient distance = {dist:.6f}")
     else:
         coeffs = jensen_poly(seq, d, n)
-        rows = [{"k": k, "coefficient": c} for k, c in enumerate(coeffs)]
+        rows = list(enumerate(coeffs))
         report = RunReport(
             command="jensen",
             params={"d": d, "n": n, "renormalized": False},
@@ -255,19 +253,8 @@ def cmd_turan(args) -> RunReport:
     need = {"convexity": 2 * hi + 1, "3": hi + 4}.get(order, hi + 2)
     # never a negative length: turan_report names a bad range itself
     rep = turan_report(p2_values(max(0, need)), order, (lo, hi))
-    rows = [
-        {
-            "index": str(idx),
-            "kind": "failure",
-        }
-        for idx in rep.failures
-    ] + [
-        {
-            "index": str(idx),
-            "kind": "equality",
-        }
-        for idx in rep.equalities
-    ]
+    rows = [(str(idx), "failure") for idx in rep.failures]
+    rows += [(str(idx), "equality") for idx in rep.equalities]
     report = RunReport(
         command="turan",
         params={"order": order, "lo": lo, "hi": hi},
@@ -291,45 +278,22 @@ def cmd_onset(args) -> RunReport:
     for d in range(2, max_d + 1):
         m0 = hyperbolicity_onset(seq, d, hi)
         below = None if m0 is None else [m for m in range(m0) if not is_hyperbolic(jensen_poly(seq, d, m))]
-        rows.append({"d": d, "onset": m0, "failures_below": below})
+        rows.append((d, m0, below))
     report = RunReport(
         command="onset",
         params={"max_degree": max_d, "hi": hi},
         columns=("d", "onset", "failures_below"),
         rows=rows,
     )
-    missing = [r["d"] for r in rows if r["onset"] is None]
+    missing = [d for d, m0, _ in rows if m0 is None]
     report.add_check("onset-found", not missing, f"degrees with no stable onset by m = {hi}: {missing}")
     return report
 
 
 def cmd_arcs(args) -> RunReport:
     arg_checks, samples = arc_dominance_check(args.b)
-    rows = []
-    for c in arg_checks:
-        rows.append(
-            {
-                "kind": "angle",
-                "k": c.k,
-                "a": -1,
-                "slope": 0,
-                "x": 0.0,
-                "value": float(c.angle_over_pi),
-                "ok": c.holds,
-            }
-        )
-    for s in samples:
-        rows.append(
-            {
-                "kind": "sample",
-                "k": -1,
-                "a": s.a,
-                "slope": s.slope,
-                "x": s.x,
-                "value": s.ratio,
-                "ok": s.ok,
-            }
-        )
+    rows = [("angle", c.k, -1, 0, 0.0, float(c.angle_over_pi), c.holds) for c in arg_checks]
+    rows += [("sample", -1, s.a, s.slope, s.x, s.ratio, s.ok) for s in samples]
     report = RunReport(
         command="arcs",
         params={"b": args.b},
@@ -483,18 +447,15 @@ def _validation_checks():
 
 
 def cmd_validate(args) -> RunReport:
-    rows = []
-    for name, fn in _validation_checks():
-        ok, detail = fn()
-        rows.append({"check": name, "passed": ok, "detail": detail})
+    rows = [(name, *fn()) for name, fn in _validation_checks()]
     report = RunReport(
         command="validate",
         params={},
         columns=("check", "passed", "detail"),
         rows=rows,
     )
-    for row in rows:
-        report.add_check(row["check"], row["passed"], row["detail"])
+    for name, ok, detail in rows:
+        report.add_check(name, ok, detail)
     return report
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from types import GeneratorType
 from typing import Callable
 
 
@@ -43,7 +44,7 @@ def _fragment(obj, out: list[str]) -> None:
             out.append(":")
             _fragment(obj[key], out)
         out.append("}")
-    elif isinstance(obj, (list, tuple)):
+    elif isinstance(obj, (list, tuple, GeneratorType)):
         out.append("[")
         for i, item in enumerate(obj):
             if i:
@@ -75,8 +76,14 @@ def _cell(value) -> str:
     return text
 
 
+def _fits(columns, row):
+    if not isinstance(row, tuple) or len(row) != len(columns):
+        raise ValueError(f"a report row must be a tuple of {len(columns)} values")
+    return row
+
+
 def csv_text(columns, rows) -> str:
-    """A header line of ``columns``, then one line per row dict.  ``rows`` may
+    """A header line of ``columns``, then one line per row tuple.  ``rows`` may
     instead be that text already rendered, which is returned unchanged once
     its header line is checked."""
     header = ",".join(columns)
@@ -86,13 +93,14 @@ def csv_text(columns, rows) -> str:
         return rows
     lines = [header]
     for row in rows:
-        lines.append(",".join(_cell(row.get(c)) for c in columns))
+        lines.append(",".join(_cell(v) for v in _fits(columns, row)))
     return "\n".join(lines) + "\n"
 
 
 class RunReport:
     """One executed experiment's results: echoed command, parameters, result
-    rows and named pass/fail checks.
+    rows and named pass/fail checks.  A row is the tuple of its values in
+    ``columns`` order; any other row is a ValueError when rendered.
 
     ``rows`` may be a function returning the rows, called on first read.
     ``csv``, when given, is the CSV text of those rows already rendered, and
@@ -104,7 +112,7 @@ class RunReport:
         command: str,
         params: dict,
         columns: tuple[str, ...],
-        rows: list[dict] | Callable[[], list[dict]] | None = None,
+        rows: list[tuple] | Callable[[], list[tuple]] | None = None,
         csv: str | None = None,
     ):
         self.command = command
@@ -115,7 +123,7 @@ class RunReport:
         self.checks: list[dict] = []
 
     @property
-    def rows(self) -> list[dict]:
+    def rows(self) -> list[tuple]:
         if callable(self._rows):
             self._rows = self._rows()
         return self._rows
@@ -135,7 +143,7 @@ class RunReport:
             "command": self.command,
             "params": self.params,
             "columns": list(self.columns),
-            "rows": self.rows,
+            "rows": (dict(zip(self.columns, _fits(self.columns, row))) for row in self.rows),
             "checks": self.checks,
         }
         return json_text(doc) + "\n"

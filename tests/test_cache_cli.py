@@ -66,7 +66,7 @@ def test_json_text_deterministic_and_parseable():
 
 
 def test_csv_text_quoting():
-    text = csv_text(("a", "b"), [{"a": 1, "b": 'has,"comma'}])
+    text = csv_text(("a", "b"), [(1, 'has,"comma')])
     assert text == 'a,b\n1,"has,""comma"\n'
     # rows already rendered pass through unchanged, under the right header only
     assert csv_text(("a", "b"), text) is text
@@ -462,6 +462,8 @@ def test_cli_negative_n_max_is_argument_error(argv, capsys):
         ),
         (["asympt", "--n-list", "4,2"], "asympt --n-list must be strictly increasing"),
         (["asympt", "--n-list", "1000,1000,1000"], "asympt --n-list must be strictly increasing"),
+        (["equidist", "--j", "0", "--b", "1000001", "--n", "4"], "equidist needs 2 <= --b <= 1000000"),
+        (["equidist", "--j", "0", "--b", "1", "--n", "4"], "equidist needs 2 <= --b <= 1000000"),
     ],
 )
 def test_cli_out_of_range_flag_is_named(argv, message, capsys):
@@ -505,12 +507,26 @@ def test_cli_report_into_a_file_path_is_argument_error(tmp_path, capsys):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_cli_unrenderable_row_is_argument_error(monkeypatch, capsys, fmt):
     monkeypatch.setattr(
-        "bgrank.cli.cmd_arcs", lambda args: RunReport("arcs", {}, ("x",), [{"x": float("nan")}])
+        "bgrank.cli.cmd_arcs", lambda args: RunReport("arcs", {}, ("x",), [(float("nan"),)])
     )
     assert main(["--no-cache", "--format", fmt, "arcs", "--b", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: non-finite float in report: nan\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "row",
+    [(1,), (1, 2, 3), {"x": 1, "y": 2}],
+    ids=["too-few", "too-many", "dict"],
+)
+def test_cli_row_that_does_not_fit_the_columns_is_argument_error(monkeypatch, capsys, fmt, row):
+    monkeypatch.setattr("bgrank.cli.cmd_arcs", lambda args: RunReport("arcs", {}, ("x", "y"), [(0, 0), row]))
+    assert main(["--no-cache", "--format", fmt, "arcs", "--b", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_cli_missing_param_is_argument_error():
@@ -908,8 +924,9 @@ def test_primed_cache_files_read_back_through_the_loader(tmp_path):
         assert inspect_cache_file(path) is None, path.name
 
 
-# Every subcommand but validate and report, with integer flags drawn from one
-# small range; arcs stops at b = 8 because its cost grows fast in b.
+# Every subcommand but validate and report, in either output format, with
+# integer flags drawn from one small range; arcs stops at b = 8 because its
+# cost grows fast in b.
 _INTS = st.integers(-3, 61)
 
 
@@ -952,10 +969,11 @@ _FUZZED_ARGV = st.one_of(
 )
 
 
-@given(argv=_FUZZED_ARGV, cached=st.booleans())
+@given(argv=_FUZZED_ARGV, cached=st.booleans(), fmt=st.sampled_from(("csv", "json")))
 @settings(max_examples=60, deadline=None)
-def test_cli_exit_codes_fuzzed(argv, cached, tmp_path_factory):
+def test_cli_exit_codes_fuzzed(argv, cached, fmt, tmp_path_factory):
     prefix = ["--cache-dir", str(tmp_path_factory.mktemp("cache"))] if cached else ["--no-cache"]
+    prefix += ["--format", fmt]
     text = io.StringIO()
     with contextlib.redirect_stdout(text), contextlib.redirect_stderr(text):
         try:
