@@ -1,18 +1,18 @@
 """Exact combinatorics of integer partitions: t-cores and t-quotients
 (``littlewood_decompose`` and its inverse ``littlewood_compose``), and the
-two alternating-parity rank statistics; the 2-quotient rank reads the
-components of ``littlewood_decompose(p, 2)``.
+two alternating-parity rank statistics; the 2-quotient rank is read off the
+two runners of the 2-abacus, without building the quotients.
 
 Beta-set convention used by the core/quotient maps: a partition padded to
 ``s`` parts (``s`` a multiple of ``t``, zero parts allowed) is encoded as the
 strictly decreasing set ``{part_i + s - i : 1 <= i <= s}``.  Residues mod
 ``t`` split the beta numbers into the ``t`` quotient components (the runners
-of the t-abacus); component ``r`` collects the numbers congruent to ``r``,
-and cores are decided on the same abacus.  Padding by further blocks of
-``t`` zero parts leaves core, quotients and their labels unchanged, so the
-map is well defined.  For ``t = 2`` this labeling gives the two partitions
-of 2 the rank multiset ``{+1, -1}``, which is the normalization the series
-module is calibrated against.
+of the t-abacus, built by ``_runners``); component ``r`` collects the numbers
+congruent to ``r``, and cores are decided on the same abacus.  Padding by
+further blocks of ``t`` zero parts leaves core, quotients and their labels
+unchanged, so the map is well defined.  For ``t = 2`` this labeling gives
+the two partitions of 2 the rank multiset ``{+1, -1}``, which is the
+normalization the series module is calibrated against.
 """
 
 from __future__ import annotations
@@ -77,9 +77,17 @@ def beta_numbers(p: Partition, slots: int) -> list[int]:
     return [padded[i] + slots - 1 - i for i in range(slots)]
 
 
-def _partition_from_beta(beta_desc: Sequence[int]) -> Partition:
+def _runners(p: Partition, t: int, slots: int) -> list[list[int]]:
+    """The t-abacus of p at ``slots`` parts: runner r holds b // t for each beta number b = r mod t."""
+    runners: list[list[int]] = [[] for _ in range(t)]
+    for b in beta_numbers(p, slots):  # largest first, so each runner descends
+        runners[b % t].append(b // t)
+    return runners
+
+
+def _parts_from_beta(beta_desc: Sequence[int]) -> list[int]:
     s = len(beta_desc)
-    return Partition(tuple([b - (s - 1 - i) for i, b in enumerate(beta_desc) if b > s - 1 - i]))
+    return [b - (s - 1 - i) for i, b in enumerate(beta_desc) if b > s - 1 - i]
 
 
 def littlewood_decompose(p: Partition, t: int) -> tuple[Partition, tuple[Partition, ...]]:
@@ -89,17 +97,13 @@ def littlewood_decompose(p: Partition, t: int) -> tuple[Partition, tuple[Partiti
     """
     if t < 2:
         raise ValueError(f"t must be >= 2, got {t}")
-    s = t * -(-len(p.parts) // t)
-    # beta numbers arrive largest first, so each runner is already descending
-    by_class: list[list[int]] = [[] for _ in range(t)]
-    for b in beta_numbers(p, s):
-        by_class[b % t].append(b // t)
-    quotients = tuple([_partition_from_beta(ms) for ms in by_class])
+    runners = _runners(p, t, t * -(-len(p.parts) // t))
+    quotients = tuple([Partition(_parts_from_beta(ms)) for ms in runners])
     core_beta = sorted(
-        (i * t + r for r in range(t) for i in range(len(by_class[r]))),
+        (i * t + r for r, ms in enumerate(runners) for i in range(len(ms))),
         reverse=True,
     )
-    return _partition_from_beta(core_beta), quotients
+    return Partition(_parts_from_beta(core_beta)), quotients
 
 
 def littlewood_compose(core: Partition, quotients: Sequence[Partition], t: int) -> Partition:
@@ -110,21 +114,16 @@ def littlewood_compose(core: Partition, quotients: Sequence[Partition], t: int) 
     if len(quotients) != t:
         raise ValueError(f"expected {t} quotient components, got {len(quotients)}")
     widest = max((len(q.parts) for q in quotients), default=0)
-    s = t * (len(core.parts) + widest + 2)
-    core_beta = beta_numbers(core, s)
-    counts = [0] * t
-    for b in core_beta:
-        counts[b % t] += 1
+    runners = _runners(core, t, t * (len(core.parts) + widest + 2))
     # a t-core is a partition whose beads sit flush at the foot of every
-    # runner of its t-abacus (James-Kerber, 1981)
-    if any(b // t >= counts[b % t] for b in core_beta):
+    # runner of its t-abacus (James-Kerber, 1981); 2t zero parts bead every runner
+    if any(ms[0] >= len(ms) for ms in runners):
         raise ValueError("core argument is not a t-core")
-    beta = []
-    for r in range(t):
-        for m in beta_numbers(quotients[r], counts[r]):
-            beta.append(m * t + r)
-    beta.sort(reverse=True)
-    return _partition_from_beta(beta)
+    beta = sorted(
+        (m * t + r for r, ms in enumerate(runners) for m in beta_numbers(quotients[r], len(ms))),
+        reverse=True,
+    )
+    return Partition(_parts_from_beta(beta))
 
 
 def bg_rank(p: Partition) -> int:
@@ -137,9 +136,9 @@ def bg_rank(p: Partition) -> int:
 
 
 def two_quotient_rank(p: Partition) -> int:
-    """Difference of part counts of the two quotient components, len(q0) - len(q1)."""
-    _, (q0, q1) = littlewood_decompose(p, 2)
-    return len(q0.parts) - len(q1.parts)
+    """len(q0) - len(q1) for the 2-quotient: each counts the beads above its runner's flush line."""
+    ms0, ms1 = _runners(p, 2, len(p.parts) + len(p.parts) % 2)
+    return len(_parts_from_beta(ms0)) - len(_parts_from_beta(ms1))
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:

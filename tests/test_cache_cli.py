@@ -464,6 +464,8 @@ def test_cli_negative_n_max_is_argument_error(argv, capsys):
         (["asympt", "--n-list", "1000,1000,1000"], "asympt --n-list must be strictly increasing"),
         (["equidist", "--j", "0", "--b", "1000001", "--n", "4"], "equidist needs 2 <= --b <= 1000000"),
         (["equidist", "--j", "0", "--b", "1", "--n", "4"], "equidist needs 2 <= --b <= 1000000"),
+        (["arcs", "--b", "1"], "arcs needs 2 <= --b <= 300"),
+        (["arcs", "--b", "301"], "arcs needs 2 <= --b <= 300"),
     ],
 )
 def test_cli_out_of_range_flag_is_named(argv, message, capsys):
@@ -674,6 +676,13 @@ def test_cli_joint(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "n,m,count"
     assert "4,-2,1" in lines and "4,2,1" in lines
+
+
+def test_cli_joint_collapse_check_can_fail(monkeypatch, capsys):
+    # the row sums are compared with one univariate table for every n at once
+    monkeypatch.setattr("bgrank.cli.pbar_values", lambda j, n_max: [*series.pbar_values(j, n_max)[:-1], 0])
+    assert main(["--no-cache", "joint", "--j", "0", "--n-max", "6"]) == 1
+    assert "[joint] FAIL collapse-to-rank-count  row sums match the univariate table\n" in capsys.readouterr().err
 
 
 def test_cli_asympt(tmp_path):

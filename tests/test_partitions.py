@@ -221,6 +221,33 @@ def test_two_quotient_rank_multisets():
     assert two_quotient_rank(EMPTY) == 0
 
 
+def _quotient_rank_by_definition(p):
+    _, (q0, q1) = littlewood_decompose(p, 2)
+    return len(q0.parts) - len(q1.parts)
+
+
+def test_two_quotient_rank_reads_the_decomposition():
+    # odd n included: the census fixtures in conftest.py cover only even n
+    for n in range(19):
+        for p in enumerate_partitions(n):
+            assert two_quotient_rank(p) == _quotient_rank_by_definition(p)
+
+
+@given(parts_strategy(max_part=20, max_len=15))
+def test_two_quotient_rank_reads_the_decomposition_random(p):
+    assert two_quotient_rank(p) == _quotient_rank_by_definition(p)
+
+
+def test_rank_census_never_decomposes(monkeypatch):
+    expected = rank_census(12)
+
+    def refuse(p, t):
+        raise AssertionError("rank_census called littlewood_decompose")
+
+    monkeypatch.setattr("bgrank.partitions.littlewood_decompose", refuse)
+    assert rank_census(12) == expected
+
+
 def test_enumeration_counts_and_order():
     assert list(enumerate_partitions(0)) == [EMPTY]
     fours = [p.parts for p in enumerate_partitions(4)]
