@@ -2,16 +2,18 @@
 
 Floats are rendered with 17 significant digits in lowercase e-notation, big
 integers as plain base-10 strings, JSON keys sorted; identical inputs give
-byte-identical text.  A RunReport holds only what it serializes; wall time
-and other console state belong to the CLI.
+byte-identical text.  Each JSON value renders to its own string, which its
+container joins, so no list of fragments spans the document.  A RunReport
+holds only what it serializes, and may build its rows anew on each render;
+wall time and other console state belong to the CLI.
 """
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii
 from types import GeneratorType
-from typing import Callable
+from typing import Callable, Iterable
 
 
 def format_float(x: float) -> str:
@@ -20,45 +22,36 @@ def format_float(x: float) -> str:
     return f"{x:.16e}"
 
 
-def _fragment(obj, out: list[str]) -> None:
+def _fragment(obj) -> str:
     if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(format_float(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=True))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
-            if i:
-                out.append(",")
-            if not isinstance(key, str):
-                raise TypeError(f"JSON keys must be strings, got {key!r}")
-            out.append(json.dumps(key, ensure_ascii=True))
-            out.append(":")
-            _fragment(obj[key], out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple, GeneratorType)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
-            _fragment(item, out)
-        out.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} deterministically")
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return format_float(obj)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, dict):
+        return "{" + ",".join(_member(key, obj[key]) for key in sorted(obj)) + "}"
+    if isinstance(obj, (list, tuple, GeneratorType)):
+        return "[" + ",".join(map(_fragment, obj)) + "]"
+    raise TypeError(f"cannot serialize {type(obj).__name__} deterministically")
 
 
+def _member(key, value) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"JSON keys must be strings, got {key!r}")
+    return encode_basestring_ascii(key) + ":" + _fragment(value)
+
+
+# the recursion goes through _fragment, so a tracer that wraps json_text
+# records one span per document, not one per value
 def json_text(obj) -> str:
-    out: list[str] = []
-    _fragment(obj, out)
-    return "".join(out)
+    return _fragment(obj)
 
 
 def _cell(value) -> str:
@@ -94,7 +87,8 @@ def csv_text(columns, rows) -> str:
     lines = [header]
     for row in rows:
         lines.append(",".join(_cell(v) for v in _fits(columns, row)))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without copying the joined text again
+    return "\n".join(lines)
 
 
 class RunReport:
@@ -102,9 +96,11 @@ class RunReport:
     rows and named pass/fail checks.  A row is the tuple of its values in
     ``columns`` order; any other row is a ValueError when rendered.
 
-    ``rows`` may be a function returning the rows, called on first read.
-    ``csv``, when given, is the CSV text of those rows already rendered, and
-    ``to_csv_text`` returns it: a report printed as CSV never builds its rows.
+    ``rows`` may be a function returning the rows.  It is called on every
+    read and its result is not kept, so it may return a one-pass iterator and
+    each render still sees every row.  ``csv``, when given, is the CSV text of
+    those rows already rendered, and ``to_csv_text`` returns it: a report
+    printed as CSV never builds its rows.
     """
 
     def __init__(
@@ -112,7 +108,7 @@ class RunReport:
         command: str,
         params: dict,
         columns: tuple[str, ...],
-        rows: list[tuple] | Callable[[], list[tuple]] | None = None,
+        rows: Iterable[tuple] | Callable[[], Iterable[tuple]] | None = None,
         csv: str | None = None,
     ):
         self.command = command
@@ -123,10 +119,8 @@ class RunReport:
         self.checks: list[dict] = []
 
     @property
-    def rows(self) -> list[tuple]:
-        if callable(self._rows):
-            self._rows = self._rows()
-        return self._rows
+    def rows(self) -> Iterable[tuple]:
+        return self._rows() if callable(self._rows) else self._rows
 
     @property
     def passed(self) -> bool:

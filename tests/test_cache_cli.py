@@ -74,6 +74,33 @@ def test_csv_text_quoting():
         csv_text(("a", "c"), text)
 
 
+@pytest.mark.parametrize("json_first", [False, True])
+def test_row_function_serves_both_renders(json_first):
+    # report renders every job as CSV and then JSON: a row function that
+    # returns a one-pass generator must be called afresh for each
+    rep = RunReport("x", {}, ("a", "b"), rows=lambda: ((a, a * a) for a in range(5)))
+    if json_first:
+        json_out, csv_out = rep.to_json_text(), rep.to_csv_text()
+    else:
+        csv_out, json_out = rep.to_csv_text(), rep.to_json_text()
+    assert csv_out == "a,b\n" + "".join(f"{a},{a * a}\n" for a in range(5))
+    assert json.loads(json_out)["rows"] == [{"a": a, "b": a * a} for a in range(5)]
+
+
+def test_json_render_holds_no_fragment_list():
+    # each value renders to its own string; a list of every fragment of the
+    # document would peak near 6.6 times the text
+    rows = [(a, 10**30 + a, 1.0 + a / 7, a / 3e5) for a in range(10**5)]
+    rep = RunReport("x", {}, ("a", "count", "ratio", "abs_dev"), rows=rows)
+    tracemalloc.start()
+    try:
+        text = rep.to_json_text()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * len(text)
+
+
 def test_run_report_passed():
     rep = RunReport(command="x", params={}, columns=("v",))
     rep.add_check("one", True)
