@@ -4,12 +4,16 @@ deterministic multi-experiment report with an on-disk table cache.
 Exit codes: 0 success, 1 a validation check failed, 2 argument/environment
 error.  Serialized outputs are byte-deterministic for a given argv and cache
 state; wall times go to stderr only.
+
+The argument parser is built once per process; ``main`` and ``report``'s jobs
+both read argv through ``parse_args``.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import math
 import os
 import sys
@@ -484,9 +488,8 @@ def cmd_report(args) -> RunReport:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = RunReport(command="report", params={}, columns=())
-    parser = build_parser()
     for name, argv in _REPORT_JOBS:
-        job = parser.parse_args(argv.split())
+        job = parse_args(argv.split())
         job.cache_dir = args.cache_dir
         rep = job.handler(job)
         (out_dir / f"{name}.csv").write_text(rep.to_csv_text(), encoding="ascii")
@@ -525,7 +528,11 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError("n-list must be comma-separated integers") from exc
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each handler looks its cmd_* up by name when it runs, so a rebound cmd_*
+# (perfbench's tracer, a test's monkeypatch) is reached through the one parser
+# built before the rebinding.
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bgrank",
         description="Exact and asymptotic partition-rank statistics.",
@@ -544,63 +551,70 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", type=int, default=None)
     sp.add_argument("--b", type=int, default=None)
     sp.add_argument("--n-max", type=int, required=True, dest="n_max")
-    sp.set_defaults(handler=cmd_table)
+    sp.set_defaults(handler=lambda args: cmd_table(args))
 
     sp = sub.add_parser("joint", help="bivariate (rank, size) table", parents=[out])
     sp.add_argument("--j", type=int, required=True)
     sp.add_argument("--n-max", type=int, required=True, dest="n_max")
-    sp.set_defaults(handler=cmd_joint)
+    sp.set_defaults(handler=lambda args: cmd_joint(args))
 
     sp = sub.add_parser("equidist", help="residue-class ratios b*count/total", parents=[out])
     sp.add_argument("--j", type=int, required=True)
     sp.add_argument("--b", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.set_defaults(handler=cmd_equidist)
+    sp.set_defaults(handler=lambda args: cmd_equidist(args))
 
     sp = sub.add_parser("asympt", help="empirical leading-constant fit", parents=[out])
     sp.add_argument("--n-list", type=_parse_n_list, required=True, dest="n_list")
     sp.add_argument("--b", type=int, default=1)
-    sp.set_defaults(handler=cmd_asympt)
+    sp.set_defaults(handler=lambda args: cmd_asympt(args))
 
     sp = sub.add_parser("jensen", help="Jensen polynomial of the pair-count sequence", parents=[out])
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--renormalized", action="store_true")
-    sp.set_defaults(handler=cmd_jensen)
+    sp.set_defaults(handler=lambda args: cmd_jensen(args))
 
     sp = sub.add_parser("turan", help="inequality scans over the pair-count sequence", parents=[out])
     sp.add_argument("--order", choices=("2", "3", "convexity"), required=True)
     sp.add_argument("--range", type=_parse_range, required=True)
-    sp.set_defaults(handler=cmd_turan)
+    sp.set_defaults(handler=lambda args: cmd_turan(args))
 
     sp = sub.add_parser(
         "onset", help="per-degree onset of Jensen hyperbolicity of the pair counts", parents=[out]
     )
     sp.add_argument("--max-degree", type=int, default=5, dest="max_degree")
     sp.add_argument("--hi", type=int, default=500)
-    sp.set_defaults(handler=cmd_onset)
+    sp.set_defaults(handler=lambda args: cmd_onset(args))
 
     sp = sub.add_parser("arcs", help="arc-dominance report", parents=[out])
     sp.add_argument("--b", type=int, required=True)
-    sp.set_defaults(handler=cmd_arcs)
+    sp.set_defaults(handler=lambda args: cmd_arcs(args))
 
     sp = sub.add_parser("validate", help="full invariant suite", parents=[out])
-    sp.set_defaults(handler=cmd_validate)
+    sp.set_defaults(handler=lambda args: cmd_validate(args))
 
     sp = sub.add_parser("report", help="run every experiment at default scales")
     sp.add_argument("--out", required=True)
-    sp.set_defaults(handler=cmd_report)
+    sp.set_defaults(handler=lambda args: cmd_report(args))
 
     return parser
 
 
-def _emit(report: RunReport, args, wall_s: float) -> None:
+def parse_args(argv=None) -> argparse.Namespace:
+    """``argv`` (default ``sys.argv[1:]``) read by the process's one parser."""
+    return _parser().parse_args(argv)
+
+
+def _emit(report: RunReport, args, started: float) -> None:
     if report.command != "report":  # report writes its own files
         text = report.to_csv_text() if args.fmt == "csv" else report.to_json_text()
         if args.out:
             Path(args.out).write_text(text, encoding="ascii")
         else:
             sys.stdout.write(text)
+    # the wall time covers the handler and rendering and writing its text
+    wall_s = time.perf_counter() - started
     for check in report.checks:
         status = "ok" if check["passed"] else "FAIL"
         print(f"[{report.command}] {status:4s} {check['name']}  {check['detail']}", file=sys.stderr)
@@ -608,13 +622,12 @@ def _emit(report: RunReport, args, wall_s: float) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     args.cache_dir = _resolve_cache_dir(args)
     started = time.perf_counter()
     try:
         report: RunReport = args.handler(args)
-        _emit(report, args, time.perf_counter() - started)
+        _emit(report, args, started)
     except (ValueError, OSError) as exc:  # OSError covers cache.CacheWriteError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,5 +1,6 @@
 """Cache integrity, deterministic serialization, and the CLI surface."""
 
+import argparse
 import ast
 import contextlib
 import hashlib
@@ -8,7 +9,9 @@ import importlib.util
 import inspect
 import io
 import json
+import re
 import threading
+import time
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -569,6 +572,80 @@ def test_cli_unknown_flag_exits_2(capsys):
     assert "usage" in capsys.readouterr().err
 
 
+def test_cli_builds_one_parser_per_process(monkeypatch, tmp_path, capsys):
+    # main and report's jobs parse through one parser, built on first use
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    assert main(["--no-cache", "table", "--stat", "p", "--n-max", "4"]) == 0
+    assert built
+    built.clear()
+    assert main(["--no-cache", "table", "--stat", "p2", "--n-max", "4"]) == 0
+    assert built == []
+
+    parsed = []
+    parse_args = cli.parse_args
+
+    def counting_parse(argv=None):
+        parsed.append(argv)
+        return parse_args(argv)
+
+    jobs = (("p", "table --stat p --n-max 8"), ("joint", "joint --j 0 --n-max 6"))
+    monkeypatch.setattr(cli, "parse_args", counting_parse)
+    monkeypatch.setattr(cli, "_REPORT_JOBS", jobs)
+    assert main(["--no-cache", "report", "--out", str(tmp_path)]) == 0
+    assert built == []
+    assert parsed[1:] == [argv.split() for _, argv in jobs]
+    assert (tmp_path / "joint.csv").read_text().startswith("n,m,count\n")
+
+
+def test_cli_calls_share_no_parsed_state(capsys):
+    # no flag of one call carries over to the next, and a call that fails in
+    # argparse leaves the shared parser usable
+    assert main(["--no-cache", "table", "--stat", "pbar", "--j", "0", "--n-max", "6"]) == 0
+    assert main(["--no-cache", "table", "--stat", "p", "--n-max", "6"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["--no-cache", "table", "--stat", "p"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["--no-cache", "--format", "json", "table", "--stat", "p", "--n-max", "6"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["params"] == {"a": None, "b": None, "j": None, "n_max": 6, "stat": "p"}
+
+
+def test_cli_handlers_are_looked_up_at_call_time(monkeypatch, capsys):
+    # perfbench's tracer rebinds cmd_* after the parser may already exist
+    assert main(["--no-cache", "table", "--stat", "p", "--n-max", "4"]) == 0
+    seen = []
+
+    def patched(args):
+        seen.append(args.stat)
+        return RunReport(command="table", params={}, columns=("n",), rows=[(0,)])
+
+    monkeypatch.setattr(cli, "cmd_table", patched)
+    assert main(["--no-cache", "table", "--stat", "p2", "--n-max", "4"]) == 0
+    assert seen == ["p2"], "main ran the cmd_table bound when the parser was built, not bgrank.cli.cmd_table"
+
+
+def test_cli_wall_time_covers_rendering(monkeypatch, capsys):
+    render = RunReport.to_csv_text
+
+    def slow_render(self):
+        time.sleep(0.2)
+        return render(self)
+
+    monkeypatch.setattr(RunReport, "to_csv_text", slow_render)
+    assert main(["--no-cache", "table", "--stat", "p", "--n-max", "4"]) == 0
+    wall = float(re.search(r"\[table\] wall time ([0-9.]+)s", capsys.readouterr().err).group(1))
+    assert wall >= 0.2
+
+
 def test_cli_turan_failure_sets_exit_code(capsys):
     # range includes the genuine failure at m = 5
     assert main(["--no-cache", "turan", "--order", "2", "--range", "2:10"]) == 1
@@ -881,7 +958,7 @@ def _workloads_value(name: str):
 def test_benchmark_span_names_resolve():
     # perfbench's tracer wraps the public functions each bgrank.<layer> defines;
     # a span naming anything else would record no call in a traced run
-    names = {name for names in _workloads_value("EXPECTED_SPANS").values() for name in names} - {"cli.parse_args"}
+    names = {name for names in _workloads_value("EXPECTED_SPANS").values() for name in names}
     assert names
     for name in sorted(names):
         layer, fn = name.split(".")
