@@ -158,8 +158,8 @@ def _rows_ok(data: bytes, n_max: int) -> bool:
     rows = n_max + 1
     header = b"n,value\n"
     # a row takes at least 4 bytes, so an n_max read from a file header never
-    # sizes the expected block past the file itself
-    if 4 * rows > len(data) or not data.startswith(header):
+    # sizes the expected block past the file itself, and a table has a row 0
+    if n_max < 0 or 4 * rows > len(data) or not data.startswith(header):
         return False
     if data.translate(None, _DIGITS) != header + b",\n" * rows:
         return False

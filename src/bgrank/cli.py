@@ -120,6 +120,14 @@ def cmd_table(args) -> RunReport:
     for name, value in params.items():
         if (value is None) == (name in takes):
             raise ValueError(f"--stat {stat} {'requires' if value is None else 'takes no'} --{name}")
+    # the builders' checks, in their order, before the cache is read: a
+    # cached file must not answer a request the builder would refuse
+    if "a" in takes and not 0 <= args.a < args.b:
+        raise ValueError("a must lie in [0, b)")
+    if "b" in takes and args.b < 2:
+        raise ValueError("b must be >= 2")
+    if args.n_max < 0:
+        raise ValueError("n_max must be >= 0")
     table = cache.get_table(
         kind, {name: params[name] for name in takes}, args.n_max, lambda: build(args), args.cache_dir
     )
@@ -227,25 +235,22 @@ def cmd_jensen(args) -> RunReport:
     seq = p2_values(n + d + 1)
     if args.renormalized:
         coeffs = renormalized_jensen(seq, d, n, renorm_sequences_step2(n))
+        columns = ("k", "coefficient", "hermite")
         rows = [(k, c, h) for k, (c, h) in enumerate(zip(coeffs, hermite(d)))]
         dist = hermite_distance(coeffs, d)
-        report = RunReport(
-            command="jensen",
-            params={"d": d, "n": n, "renormalized": True},
-            columns=("k", "coefficient", "hermite"),
-            rows=rows,
-        )
-        report.add_check("hermite-distance", True, f"max coefficient distance = {dist:.6f}")
+        check = ("hermite-distance", True, f"max coefficient distance = {dist:.6f}")
     else:
         coeffs = jensen_poly(seq, d, n)
+        columns = ("k", "coefficient")
         rows = list(enumerate(coeffs))
-        report = RunReport(
-            command="jensen",
-            params={"d": d, "n": n, "renormalized": False},
-            columns=("k", "coefficient"),
-            rows=rows,
-        )
-        report.add_check("hyperbolic", is_hyperbolic(coeffs), "exact Sturm certificate")
+        check = ("hyperbolic", is_hyperbolic(coeffs), "exact Sturm certificate")
+    report = RunReport(
+        command="jensen",
+        params={"d": d, "n": n, "renormalized": args.renormalized},
+        columns=columns,
+        rows=rows,
+    )
+    report.add_check(*check)
     return report
 
 

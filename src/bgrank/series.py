@@ -14,9 +14,13 @@ Three independent exact routes to the same counts live here:
   so each residue class is O(sqrt N) shifted progression sums of p2.
   Classes a and b - a mirror each other and a class with
   min(a, b - a) > N/2 is zero, so at most min(b, N)/2 + 1 rows are built,
-  checked row by row against ``pbar_values`` over all b classes;
+  checked row by row against ``pbar_values`` over all b classes, and
+  ``pbar_abn_table`` places only its own;
 * ``joint_table`` -- the (rank, size) table, one {m: count} dict per size n,
   by in-place division over Z[z, z^-1] by each factor of the product.
+
+Every table is a series in Q = q^2 placed at rank j by one slice, from the
+2-core size j(2j-1) in steps of 2 (``_placed``; ``joint_table`` for dicts).
 
 ``series_invert`` and ``euler_factor_product`` are the O(N^2) schoolbook
 oracle behind the validation suite's series-inverse check.  Series are plain
@@ -99,17 +103,21 @@ def pbar_eta(j: int, n: int) -> int:
     return pbar_values(j, n)[n]
 
 
+def _placed(j: int, series: Sequence[int], n_max: int) -> list[int]:
+    """``series`` in Q = q^2, through Q^nq for nq = (n_max - j(2j-1)) // 2
+    (empty if nq < 0), as counts of size 0..n_max at rank j: Q^m is size
+    j(2j-1) + 2m, and every other size is zero."""
+    out = [0] * (n_max + 1)
+    out[bg_core_size(j) :: 2] = series
+    return out
+
+
 def pbar_values(j: int, n_max: int) -> list[int]:
-    """pbar_eta(j, n) for n = 0..n_max: the pair count at (n - j(2j-1))/2
-    at every second n from the 2-core size j(2j-1) on, zero elsewhere (the
-    rank fixes the 2-core, so n must match its size and parity)."""
+    """pbar_eta(j, n) for n = 0..n_max: the pair counts placed at rank j."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    out = [0] * (n_max + 1)
-    shift = bg_core_size(j)
-    if shift <= n_max:
-        out[shift::2] = p2_values((n_max - shift) // 2)
-    return out
+    nq = (n_max - bg_core_size(j)) // 2
+    return _placed(j, p2_values(nq) if nq >= 0 else [], n_max)
 
 
 def ranks_with_support(n_max: int) -> list[int]:
@@ -159,17 +167,6 @@ def _residue_rows(b: int, nq: int) -> list[list[int]]:
     return half
 
 
-def _class_rows(j: int, b: int, n_max: int) -> list[list[int]]:
-    """One _residue_rows build, each row placed at rank j (Q^m at size
-    core + 2m); no rows when the 2-core does not fit in n_max."""
-    core = bg_core_size(j)
-    rows = _residue_rows(b, (n_max - core) // 2) if core <= n_max else []
-    for a, row in enumerate(rows):
-        rows[a] = [0] * (n_max + 1)
-        rows[a][core::2] = row
-    return rows
-
-
 def pbar_abn_table(j: int, a: int, b: int, n_max: int) -> list[int]:
     """Counts of size 0..n_max with rank j and quotient rank = a mod b; the
     build's cost stops growing with b past n_max (see _residue_rows)."""
@@ -179,9 +176,9 @@ def pbar_abn_table(j: int, a: int, b: int, n_max: int) -> list[int]:
         raise ValueError("b must be >= 2")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if min(a, b - a) > (n_max - bg_core_size(j)) // 2:
-        return [0] * (n_max + 1)
-    return _class_rows(j, b, n_max)[min(a, b - a)]
+    nq = (n_max - bg_core_size(j)) // 2
+    r = min(a, b - a)  # class b - a mirrors class a
+    return _placed(j, _residue_rows(b, nq)[r] if r <= nq else [0] * (nq + 1), n_max)
 
 
 def pbar_abn_values(j: int, b: int, n_max: int) -> list[list[int]]:
@@ -193,7 +190,10 @@ def pbar_abn_values(j: int, b: int, n_max: int) -> list[list[int]]:
         raise ValueError("b must be >= 2")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    rows = _class_rows(j, b, n_max)
+    nq = (n_max - bg_core_size(j)) // 2
+    rows = _residue_rows(b, nq) if nq >= 0 else []
+    for a, row in enumerate(rows):
+        rows[a] = _placed(j, row, n_max)
     zero = [0] * (n_max + 1)
     return [rows[min(a, b - a)] if min(a, b - a) < len(rows) else zero for a in range(b)]
 
@@ -213,7 +213,7 @@ def joint_table(j: int, n_max: int) -> list[dict[int, int]]:
     if n_max > JOINT_CAP:
         raise ValueError(f"bivariate table capped at n_max = {JOINT_CAP}")
     shift = bg_core_size(j)
-    nq = (n_max - shift) // 2 if n_max >= shift else -1
+    nq = (n_max - shift) // 2
     rows: list[dict[int, int]] = [{} for _ in range(n_max + 1)]
     if nq < 0:
         return rows
@@ -227,8 +227,7 @@ def joint_table(j: int, n_max: int) -> list[dict[int, int]]:
                 dst = f[m]
                 for r, c in f[m - i].items():
                     dst[r + e] = dst.get(r + e, 0) + c
-    for m, row in enumerate(f):
-        rows[2 * m + shift] = row
+    rows[shift::2] = f
     return rows
 
 

@@ -14,13 +14,14 @@ import threading
 import time
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bgrank import asymptotics, cli, partitions, series, turan
+from bgrank import asymptotics, cache, cli, partitions, series, turan
 from bgrank import __version__ as TOOL_VERSION
 from bgrank.cache import (
     CacheWriteError,
@@ -330,6 +331,26 @@ def test_cache_reject_reasons(tmp_path, capsys):
     assert reasons == [(path.name, why) for why in ("missing", "header", "checksum", "unreadable")]
 
 
+def _forge(directory, kind, params, n_max):
+    """The file save_table would write for this request if its builder
+    returned ones at n = 0..n_max, whether or not the request is valid."""
+    data = "n,value\n" + "".join(f"{n},1\n" for n in range(n_max + 1))
+    digest = hashlib.sha256(data.encode("ascii")).hexdigest()
+    path = Path(directory) / cache_filename(kind, params, n_max)
+    path.write_text(f"{cache._header(kind, params, n_max)}# sha256 {digest}\n{data}", encoding="ascii")
+    return path
+
+
+def test_cache_refuses_a_negative_n_max(tmp_path):
+    # header and checksum are right, but a table has a row n = 0
+    path = _forge(tmp_path, "p", {}, -5)
+    assert path.read_bytes().endswith(b"\nn,value\n")
+    reasons = []
+    assert load_table(tmp_path, "p", {}, -5, reject=lambda _, why: reasons.append(why)) is None
+    assert reasons == ["rows"]
+    assert inspect_cache_file(path) is None
+
+
 @pytest.mark.parametrize(
     "old, new",
     [
@@ -521,6 +542,35 @@ def test_cli_table_rejects_a_selector_the_stat_does_not_take(stat, selectors, ca
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: --stat {stat} takes no {selectors[-2]}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "table --stat p --n-max -5",
+        "table --stat p2 --n-max -1",
+        "table --stat pbar --j 0 --n-max -3",
+        "table --stat pbar-ab --j 0 --a 7 --b 5 --n-max 4",
+        "table --stat pbar-ab --j 0 --a -1 --b 5 --n-max 4",
+        "table --stat pbar-ab --j 0 --a 0 --b 1 --n-max 4",
+        "table --stat pbar-ab --j 0 --a 0 --b 1 --n-max -1",
+        "table --stat pbar-ab --j 0 --a 0 --b 0 --n-max -1",
+        "table --stat pbar-ab --j 0 --a 0 --b 5 --n-max -1",
+    ],
+)
+def test_cli_table_refuses_a_request_before_the_cache(argv, tmp_path, capsys):
+    # a file filed under a request the builder refuses is never served: the
+    # request fails alike with and without it, with the builder's message
+    args = cli.parse_args(argv.split())
+    kind, takes, _, build = cli._STATS[args.stat]
+    with pytest.raises(ValueError) as refused:
+        build(args)
+    _forge(tmp_path, kind, {name: getattr(args, name) for name in takes}, args.n_max)
+    runs = []
+    for prefix in (["--no-cache"], ["--cache-dir", str(tmp_path)]):
+        code = main([*prefix, *argv.split()])
+        runs.append((code, *capsys.readouterr()))
+    assert runs[0] == runs[1] == (2, "", f"error: {refused.value}\n")
 
 
 def test_cli_jensen_renormalized_zero_shift_is_argument_error(capsys):
@@ -774,6 +824,126 @@ def test_cli_validate_failed_check_exits_1(monkeypatch, capsys):
     assert "[validate] FAIL dilog-identity  max inversion-identity residual 1.00e+00\n" in err
 
 
+def _asymmetric_joint(j, n_max):
+    return [{m + 1: c for m, c in row.items()} for row in series.joint_table(j, n_max)]
+
+
+def _one_class_bumped(j, b, n):
+    rows = series.pbar_abn_values(j, b, n)
+    return [[v + 1 for v in rows[0]], *rows[1:]]
+
+
+def _last_count_raised(j, n_max):
+    # 5% more at the last n: R stays near 6^(-3/4), but its last gap grows
+    values = series.pbar_values(j, n_max)
+    values[-1] += values[-1] // 20
+    return values
+
+
+def _lopsided_classes(j, b, n):
+    # half of class 1 moved to class 0: the classes still sum to the total
+    rows = [list(row) for row in series.pbar_abn_values(j, b, n)]
+    moved = rows[1][n] // 2
+    rows[0][n] += moved
+    rows[1][n] -= moved
+    return rows
+
+
+# For each check of a command other than validate and report that no other
+# test breaks: an argv and the one input it reads, broken (None: the argv
+# alone fails the check).  The breaks call the originals in their home
+# modules, which stay unpatched.
+_CHECK_BREAKS = {
+    "rank-symmetry": ("joint --j 0 --n-max 6", ("bgrank.cli.joint_table", _asymmetric_joint)),
+    "counts-sum-to-total": (
+        "equidist --j 0 --b 5 --n 20",
+        ("bgrank.cli.pbar_abn_values", _one_class_bumped),
+    ),
+    "one-candidate-within-10pct": ("asympt --n-list 2", None),
+    "winner": ("asympt --n-list 2", None),
+    "converging": ("asympt --n-list 100,200,400", ("bgrank.cli.pbar_values", _last_count_raised)),
+    "max-deviation": ("equidist --j 0 --b 5 --n 20", ("bgrank.cli.pbar_abn_values", _lopsided_classes)),
+    "hermite-distance": (
+        "jensen --d 2 --n 300 --renormalized",
+        (
+            "bgrank.cli.renormalized_jensen",
+            lambda seq, d, n, pair: [c + 1000 for c in turan.renormalized_jensen(seq, d, n, pair)],
+        ),
+    ),
+    "angle-inequalities": ("arcs --b 5", ("bgrank.asymptotics.minus_root_angle_over_pi", lambda b, k: Fraction(0))),
+}
+
+# checks that pass whatever they read, each until the ROADMAP item that makes
+# it real: that change must turn its xfail into a pass
+_CHECKS_THAT_CANNOT_FAIL = {
+    "max-deviation": "ROADMAP item 11: hard-coded True",
+    "hermite-distance": "ROADMAP item 4: hard-coded True",
+    "angle-inequalities": "ROADMAP item 10: 1 - 3 r^2 < 2 holds for every real r",
+}
+
+# checks whose failing case lives elsewhere in this file
+_CHECKS_FAILED_ELSEWHERE = {
+    "table-built": "test_cli_table_built_check_can_fail",
+    "collapse-to-rank-count": "test_cli_joint_collapse_check_can_fail",
+    "holds-on-range": "test_cli_turan_failure_sets_exit_code",
+    "onset-found": "test_cli_onset",
+    "hyperbolic": "_PINNED_OUTPUT: jensen --d 4 --n 50",
+    "off-axis-smaller": "_PINNED_OUTPUT: arcs --b 26",
+}
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        pytest.param(
+            name,
+            marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=_CHECKS_THAT_CANNOT_FAIL[name]),
+        )
+        if name in _CHECKS_THAT_CANNOT_FAIL
+        else name
+        for name in _CHECK_BREAKS
+    ],
+)
+def test_every_cli_check_can_fail(name, monkeypatch, capsys):
+    argv, patch = _CHECK_BREAKS[name]
+    if patch is not None:
+        monkeypatch.setattr(*patch)
+    code = main(["--no-cache", *argv.split()])
+    err = capsys.readouterr().err
+    if code not in (0, 1):
+        pytest.fail(f"the broken input did not reach the check: {err}")
+    assert code == 1 and f"] FAIL {name}  " in err, err
+
+
+def test_every_cli_check_has_a_failing_case(capsys):
+    # every check the pinned commands print is broken by _CHECK_BREAKS or by
+    # the test _CHECKS_FAILED_ELSEWHERE names
+    printed = set()
+    for argv, *_ in _PINNED_OUTPUT:
+        main(["--no-cache", *argv.split()])
+        printed.update(re.findall(r"^\[\w+\] (?:ok|FAIL) +(\S+)  ", capsys.readouterr().err, re.M))
+    assert printed == set(_CHECK_BREAKS) | set(_CHECKS_FAILED_ELSEWHERE)
+    assert set(_CHECKS_THAT_CANNOT_FAIL) <= set(_CHECK_BREAKS)
+    for where in _CHECKS_FAILED_ELSEWHERE.values():
+        assert where.startswith("_PINNED_OUTPUT: ") or inspect.isfunction(globals().get(where)), where
+    pinned = {argv: code for argv, code, *_ in _PINNED_OUTPUT}
+    assert pinned["jensen --d 4 --n 50"] == pinned["arcs --b 26"] == 1
+
+
+def test_cli_report_failed_job_exits_1(monkeypatch, tmp_path, capsys):
+    def failing_arcs(args):
+        report = RunReport("arcs", {}, ("x",), [(0,)])
+        report.add_check("off-axis-smaller", False)
+        return report
+
+    monkeypatch.setattr("bgrank.cli.cmd_arcs", failing_arcs)
+    assert main(["--no-cache", "report", "--out", str(tmp_path)]) == 1
+    index = (tmp_path / "index.json").read_text()
+    assert '"passed":false' in index and json.loads(index)["passed"] is False
+    err = capsys.readouterr().err
+    assert "[report] FAIL arcs_b5  \n" in err and "[report] ok   validate  \n" in err
+
+
 def test_cli_joint(tmp_path):
     out = tmp_path / "j.csv"
     assert main(["--no-cache", "joint", "--j", "0", "--n-max", "6", "--out", str(out)]) == 0
@@ -938,6 +1108,18 @@ def test_cli_output_bytes_are_pinned(capsys, argv, code, csv_digest, json_digest
     for fmt, digest in (("csv", csv_digest), ("json", json_digest)):
         assert main(["--no-cache", "--format", fmt, *argv.split()]) == code
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, fmt
+
+
+def test_cli_subcommands_are_documented_and_pinned():
+    # README's CLI synopsis lists every subcommand the parser defines, and
+    # each but validate and report (pinned by the benchmark's report
+    # reference) has an output digest above
+    (sub,) = [a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    synopsis = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    documented = [line.split()[1] for line in synopsis.splitlines() if line.startswith("bgrank ")]
+    assert sorted(documented) == sorted(sub.choices)
+    assert {argv.split()[0] for argv, *_ in _PINNED_OUTPUT} == set(sub.choices) - {"validate", "report"}
 
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
