@@ -61,9 +61,13 @@ from .turan import (
 
 CACHE_ENV = "BGRANK_CACHE_DIR"
 
-# a Sturm certificate's cost climbs steeply with the degree: onset over
-# d = 2..24 at the default --hi 500 takes about 0.5 s on a Xeon core, over
-# d = 2..55 several seconds
+# a Sturm certificate's cost climbs steeply with the degree.  Onset over
+# d = 2..24 at the default --hi 500 takes about 0.14 s on a Xeon core (0.18 s
+# with a chain for every shift of the scans): at d <= 8 sign alternation
+# settles all but 60 of the 2352 shifts scanned down from 500, the failures
+# below each onset still take a chain apiece, and J^{d,500} is not hyperbolic
+# for d >= 9, so those scans stop at their first chain.  The scans alone over
+# d = 2..55 take about 2.7 s either way
 ONSET_MAX_DEGREE = 24
 
 # h_congruence_numeric does O(b^2) work per sample point: the arc check takes

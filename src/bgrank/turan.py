@@ -16,7 +16,10 @@ is a primitive pseudo-remainder sequence, each member a positive multiple of
 the classical one over the rationals, and its last member is g = gcd(p, p').
 p has deg p - deg g distinct complex roots, so one chain certifies
 hyperbolicity: p is hyperbolic iff the chain counts that many distinct real
-roots.  The renormalized-limit comparisons are floating point.
+roots.  An onset scan first tries a cheaper exact certificate: if the signs
+of p strictly alternate at d + 1 increasing points, placed where the Hermite
+limit puts the roots, p has d distinct real roots.  A chain is built only
+where that fails.  The renormalized-limit comparisons are floating point.
 """
 
 from __future__ import annotations
@@ -268,13 +271,115 @@ def turan_report(seq: Sequence[int], order: str, index_range: tuple[int, int]) -
     return TuranReport(holds=not failures, failures=tuple(failures), equalities=tuple(equalities))
 
 
+# ---------------------------------------------------------------------------
+# hyperbolicity onsets
+
+
+def _hermite_probes(d: int) -> list[float]:
+    """d + 1 increasing floats that separate the zeros of H_d (d >= 2): the
+    midpoints of consecutive zeros, and one gap beyond each end zero.
+
+    The zeros are found by bisection on the count of sign changes of
+    H_0(x), ..., H_d(x), which is the number of zeros above x (the recurrence
+    H_{k+1} = X H_k - 2k H_{k-1} makes the sequence a Sturm chain of H_d).
+    They are symmetric about 0 and lie inside 2 sqrt(2d + 1), so only the
+    positive ones are sought, each to 2^-32 of that bound: the points need
+    not be exact.
+    """
+
+    def zeros_above(x: float) -> int:
+        h_prev, h, pos = 1.0, x, x > 0
+        count = int(not pos)  # H_0 = 1; a zero value counts as negative
+        for k in range(1, d):
+            h_prev, h = h, x * h - 2 * k * h_prev
+            count += (h > 0) != pos
+            pos = h > 0
+        return count
+
+    bound = 2.0 * math.sqrt(2 * d + 1)
+    upper = []
+    for i in range(d // 2 - 1, -1, -1):  # i zeros above the one sought: ascending
+        lo, hi = 0.0, bound
+        for _ in range(32):
+            mid = 0.5 * (lo + hi)
+            if zeros_above(mid) > i:
+                lo = mid
+            else:
+                hi = mid
+        upper.append(0.5 * (lo + hi))
+    zeros = [-z for z in reversed(upper)] + [0.0] * (d % 2) + upper
+    mids = [(u + v) / 2 for u, v in zip(zeros, zeros[1:])]
+    return [2 * zeros[0] - zeros[1], *mids, 2 * zeros[-1] - zeros[-2]]
+
+
+def _signs_alternate(coeffs: Sequence, alpha: Sequence[int], probes: Sequence[float]) -> bool:
+    """True only if the polynomial ``coeffs`` of degree at most d has d
+    distinct real roots, shown by exact signs that strictly alternate at the
+    d + 1 points the ``probes`` map to; False means unsettled, not
+    non-hyperbolic.
+
+    ``alpha`` holds the sequence at n, n + 1, n + 2; the recentring pair is
+    read off it, delta^2 = l1 - l2/2 and A = l1 + delta^2 with
+    l_k = log(alpha(n + k)/alpha(n)), and each probe eta of the Hermite limit
+    maps to the float x = (delta eta - 1)/e^A.  Floats only choose the points:
+    each x is a dyadic rational at which p is evaluated exactly.  These leave
+    the polynomial unsettled: a probe count other than d + 1, an entry of
+    ``alpha`` that is not positive, ratios beyond the float range, and a
+    point that is not finite or not above its predecessor.
+    """
+    p = [operator.index(c) for c in coeffs]  # TypeError off the integers, as in sturm_chain
+    a0, a1, a2 = alpha
+    if a0 <= 0 or a1 <= 0 or a2 <= 0:
+        return False
+    try:
+        l1, l2 = math.log(a1 / a0), math.log(a2 / a0)
+        d2 = l1 - l2 / 2
+        if not d2 > 0:
+            return False
+        delta, scale = math.sqrt(d2), math.exp(-(l1 + d2))
+        xs = [(delta * eta - 1) * scale for eta in probes]
+    except (OverflowError, ValueError):  # a ratio or e^-A beyond float64
+        return False
+    ascending = all(u < v for u, v in zip(xs, xs[1:]))
+    if len(xs) != len(p) or not ascending or not all(map(math.isfinite, xs)):
+        return False
+    last = 0
+    for x in xs:
+        num, den = x.as_integer_ratio()
+        # den^d p(num/den) by Horner; den > 0 keeps the sign
+        acc, power = p[-1], 1
+        for c in reversed(p[:-1]):
+            power *= den
+            acc = acc * num + c * power
+        sign = (acc > 0) - (acc < 0)
+        if sign in (0, last):
+            return False
+        last = sign
+    return True
+
+
 def hyperbolicity_onset(seq: Sequence[int], d: int, hi: int) -> int | None:
     """Smallest m0 >= 0 with J^{d,m} hyperbolic for every m in [m0, hi]; None
-    if even m = hi fails or hi < 0.  Exact Sturm certificates, scanned down
-    from hi to the first failure."""
+    if even m = hi fails or hi < 0.  Scanned down from hi to the first
+    failure, each shift settled exactly.
+
+    For d >= 2 a shift first tries the sign-alternation certificate: after
+    recentring, J^{d,m}((delta X - 1)/e^A) tends to a multiple of H_d(X)
+    (Griffin-Ono-Rolen-Zagier), so points between the mapped zeros of H_d
+    separate the roots of J.  Exact signs that alternate at d + 1 increasing
+    points give d sign changes, hence d distinct real roots by the
+    intermediate value theorem, and a degree-d polynomial has no more: it is
+    hyperbolic.  The certificate never rejects, so a shift it leaves
+    unsettled, including every non-hyperbolic one, gets the exact Sturm
+    verdict of ``is_hyperbolic``; the onset is the Sturm-only scan's.
+    """
     if hi < 0:
         return None
+    probes = _hermite_probes(d) if d >= 2 else None
     for m in range(hi, -1, -1):
-        if not is_hyperbolic(jensen_poly(seq, d, m)):
+        coeffs = jensen_poly(seq, d, m)
+        if probes and _signs_alternate(coeffs, seq[m : m + 3], probes):
+            continue
+        if not is_hyperbolic(coeffs):
             return None if m == hi else m + 1
     return 0

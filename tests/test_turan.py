@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bgrank import turan
-from bgrank.series import p2_values
+from bgrank.series import p2_values, p_values, pbar_abn_values
 from bgrank.turan import (
     _distinct_real_roots,
+    _hermite_probes,
+    _signs_alternate,
     hermite,
     hermite_distance,
     hyperbolicity_onset,
@@ -78,7 +80,8 @@ def test_is_hyperbolic_examples(p2_seq):
     assert not is_hyperbolic([1, 1, 1, 1, 0, 1])
 
 
-def test_one_chain_per_certificate(monkeypatch):
+def _chain_spy(monkeypatch):
+    """The list of every polynomial handed to sturm_chain from here on."""
     chains = []
 
     def spy(coeffs):
@@ -86,6 +89,11 @@ def test_one_chain_per_certificate(monkeypatch):
         return sturm_chain(coeffs)
 
     monkeypatch.setattr(turan, "sturm_chain", spy)
+    return chains
+
+
+def test_one_chain_per_certificate(monkeypatch):
+    chains = _chain_spy(monkeypatch)
     assert is_hyperbolic([0, 0, 0, 1])  # X^3
     assert not is_hyperbolic([1, 0, 2, 0, 1])  # (X^2 + 1)^2
     assert len(chains) == 2
@@ -280,3 +288,115 @@ def test_hyperbolicity_onset_windows(p2_seq):
 def test_hyperbolicity_onset_window_validation(p2_seq):
     # an empty window has no onset
     assert hyperbolicity_onset(p2_seq, 2, -1) is None
+
+
+def _sturm_onset(seq, d, hi):
+    """hyperbolicity_onset with one Sturm chain per shift: the reference."""
+    for m in range(hi, -1, -1):
+        if not is_hyperbolic(jensen_poly(seq, d, m)):
+            return None if m == hi else m + 1
+    return 0 if hi >= 0 else None
+
+
+def test_onset_equals_sturm_only_scan(p2_seq):
+    for d in range(2, 9):
+        assert hyperbolicity_onset(p2_seq, d, 500) == _sturm_onset(p2_seq, d, 500)
+    # a class sequence with a zero entry: p̄_0(0, 2; 2m)
+    class_seq = pbar_abn_values(0, 2, 500)[0][0::2]
+    assert class_seq[1] == 0
+    for d in range(2, 6):
+        assert hyperbolicity_onset(class_seq, d, 240) == _sturm_onset(class_seq, d, 240)
+
+
+def test_onset_builds_few_chains(p2_seq, monkeypatch):
+    chains = _chain_spy(monkeypatch)
+    assert hyperbolicity_onset(p2_seq, 6, 500) == 202
+    # 299 certified shifts; the failing one (m = 201) always needs its chain
+    assert len(chains) <= 20
+    assert jensen_poly(p2_seq, 6, 201) in chains
+
+
+def test_degree1_onset_is_sturm_only(p2_seq, monkeypatch):
+    want = [_sturm_onset(p2_seq, 1, hi) for hi in range(41)]
+    chains = _chain_spy(monkeypatch)
+    assert [hyperbolicity_onset(p2_seq, 1, hi) for hi in range(41)] == want
+    assert len(chains) == sum(hi + 1 for hi in range(41))  # one chain per shift
+
+
+def test_hermite_probes_separate_the_zeros():
+    assert _hermite_probes(2) == pytest.approx([-3 * math.sqrt(2), 0.0, 3 * math.sqrt(2)])
+    for d in range(2, 13):
+        probes = _hermite_probes(d)
+        assert len(probes) == d + 1 and probes == sorted(probes)
+        h = hermite(d)
+        values = [sum(c * x**k for k, c in enumerate(h)) for x in probes]
+        assert all(u * v < 0 for u, v in zip(values, values[1:]))
+
+
+def test_certificate_settles_hyperbolic_jensen_polynomials(p2_seq):
+    probes = _hermite_probes(4)
+    assert _signs_alternate(jensen_poly(p2_seq, 4, 300), p2_seq[300:303], probes)
+    # d alternating signs would show only d - 1 roots, and the intermediate
+    # value theorem needs the points in increasing order
+    for wrong in (probes[1:], probes[::-1]):
+        assert not _signs_alternate(jensen_poly(p2_seq, 4, 300), p2_seq[300:303], wrong)
+    # J^{4,60} is not hyperbolic: unsettled, never rejected
+    assert not _signs_alternate(jensen_poly(p2_seq, 4, 60), p2_seq[60:63], probes)
+
+
+# a Jensen polynomial of p2 with each coefficient c moved to c + c t / 10^s,
+# |t| <= 50: s = 3 breaks most, s = 11 few, so both verdicts occur
+perturbed_jensen = st.tuples(st.integers(2, 6), st.integers(0, 400), st.integers(3, 11)).flatmap(
+    lambda dms: st.tuples(st.just(dms), st.lists(st.integers(-50, 50), min_size=dms[0] + 1, max_size=dms[0] + 1))
+)
+
+
+@given(perturbed_jensen)
+@settings(max_examples=300, deadline=None)
+def test_certificate_never_accepts_a_non_hyperbolic_perturbation(case):
+    (d, m, s), moves = case
+    seq = p2_values(420)
+    coeffs = [c + c * t // 10**s for c, t in zip(jensen_poly(seq, d, m), moves)]
+    if _signs_alternate(coeffs, seq[m : m + 3], _hermite_probes(d)):
+        assert is_hyperbolic(coeffs)
+
+
+@given(
+    st.integers(2, 6).flatmap(lambda d: st.lists(st.integers(-(10**6), 10**6), min_size=d + 1, max_size=d + 1)),
+    st.lists(st.integers(-5, 10**6), min_size=3, max_size=3),
+)
+@settings(max_examples=300, deadline=None)
+def test_certificate_never_accepts_a_non_hyperbolic_polynomial(coeffs, alpha):
+    if _signs_alternate(coeffs, alpha, _hermite_probes(len(coeffs) - 1)):
+        assert is_hyperbolic(coeffs)
+
+
+def test_onset_of_non_integer_sequences_raises_type_error(p2_seq):
+    for seq in ([Fraction(v, 2) for v in p2_seq[:40]], [float(v) for v in p2_seq[:40]]):
+        with pytest.raises(TypeError):
+            hyperbolicity_onset(seq, 3, 30)
+        with pytest.raises(TypeError):
+            _signs_alternate(jensen_poly(seq, 3, 30), seq[30:33], _hermite_probes(3))
+
+
+def test_onset_of_non_positive_or_wild_sequences_is_sturms(p2_seq):
+    seqs = [
+        [0, 5] * 6,
+        [1, 0, 3, 0, 5, 0, 7, 0, 9, 0, 11, 0],
+        [-v for v in p2_seq[:12]],
+        [v if m % 4 else -v for m, v in enumerate(p2_seq[:12])],
+        [10 ** (400 * m) for m in range(12)],  # ratios beyond float64
+        [10 ** (400 * (m % 2)) for m in range(12)],
+        [1] * 12,  # delta^2 = 0
+    ]
+    for seq in seqs:
+        for d in (2, 3, 4):
+            assert hyperbolicity_onset(seq, d, 7) == _sturm_onset(seq, d, 7)
+
+
+def test_onset_of_p_matches_the_literature():
+    # J^{d,n} of p(n) is hyperbolic from n = 25, 94, 206, 381 for d = 2..5:
+    # log-concavity from n = 26 (Nicolas; DeSalvo-Pak), d = 3 (Chen-Jia-Wang),
+    # d = 4, 5 (Larson-Wagner); the recentring pair is read off p itself
+    p = p_values(1000)
+    assert [hyperbolicity_onset(p, d, 900) for d in range(2, 6)] == [25, 94, 206, 381]
