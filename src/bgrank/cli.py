@@ -37,6 +37,7 @@ from .partitions import (
 )
 from .reporting import RunReport
 from .series import (
+    check_table_request,
     euler_factor_product,
     joint_table,
     p2_values,
@@ -124,14 +125,9 @@ def cmd_table(args) -> RunReport:
     for name, value in params.items():
         if (value is None) == (name in takes):
             raise ValueError(f"--stat {stat} {'requires' if value is None else 'takes no'} --{name}")
-    # the builders' checks, in their order, before the cache is read: a
-    # cached file must not answer a request the builder would refuse
-    if "a" in takes and not 0 <= args.a < args.b:
-        raise ValueError("a must lie in [0, b)")
-    if "b" in takes and args.b < 2:
-        raise ValueError("b must be >= 2")
-    if args.n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    # before the cache is read: a cached file must not answer a request the
+    # builder would refuse
+    check_table_request(args.n_max, args.a, args.b)
     table = cache.get_table(
         kind, {name: params[name] for name in takes}, args.n_max, lambda: build(args), args.cache_dir
     )

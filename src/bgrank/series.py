@@ -22,6 +22,9 @@ Three independent exact routes to the same counts live here:
 Every table is a series in Q = q^2 placed at rank j by one slice, from the
 2-core size j(2j-1) in steps of 2 (``_placed``; ``joint_table`` for dicts).
 
+``check_table_request`` is the one place the rules of a table request live
+(0 <= a < b, b >= 2, n_max >= 0): the builders and ``cli``'s ``table`` call it.
+
 ``series_invert`` and ``euler_factor_product`` are the O(N^2) schoolbook
 oracle behind the validation suite's series-inverse check.  Series are plain
 coefficient lists, low degree first; all coefficients are arbitrary-precision
@@ -77,18 +80,27 @@ def _grow_quotient(out: list[int], src: Sequence[int], n_max: int) -> None:
         out.append(acc + src[n] if n < len(src) else acc)
 
 
-def p_values(n_max: int) -> list[int]:
-    """p(0..n_max) by the pentagonal-number recurrence."""
+def check_table_request(n_max: int, a: int | None = None, b: int | None = None) -> None:
+    """Raise ValueError unless 0 <= a < b, b >= 2 and n_max >= 0, checked in
+    that order; a selector passed as None is not checked."""
+    if a is not None and not 0 <= a < b:
+        raise ValueError("a must lie in [0, b)")
+    if b is not None and b < 2:
+        raise ValueError("b must be >= 2")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+
+
+def p_values(n_max: int) -> list[int]:
+    """p(0..n_max) by the pentagonal-number recurrence."""
+    check_table_request(n_max)
     _grow_quotient(_P, (1,), n_max)
     return _P[: n_max + 1]
 
 
 def p2_values(n_max: int) -> list[int]:
     """Coefficients of 1/(q;q)_oo^2 (pairs of partitions): p divided by (q;q)_oo."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    check_table_request(n_max)
     # p first: entries of _P past its end would count as zero
     _grow_quotient(_P, (1,), n_max)
     _grow_quotient(_P2, _P, n_max)
@@ -114,8 +126,7 @@ def _placed(j: int, series: Sequence[int], n_max: int) -> list[int]:
 
 def pbar_values(j: int, n_max: int) -> list[int]:
     """pbar_eta(j, n) for n = 0..n_max: the pair counts placed at rank j."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    check_table_request(n_max)
     nq = (n_max - bg_core_size(j)) // 2
     return _placed(j, p2_values(nq) if nq >= 0 else [], n_max)
 
@@ -170,12 +181,7 @@ def _residue_rows(b: int, nq: int) -> list[list[int]]:
 def pbar_abn_table(j: int, a: int, b: int, n_max: int) -> list[int]:
     """Counts of size 0..n_max with rank j and quotient rank = a mod b; the
     build's cost stops growing with b past n_max (see _residue_rows)."""
-    if not 0 <= a < b:
-        raise ValueError("a must lie in [0, b)")
-    if b < 2:
-        raise ValueError("b must be >= 2")
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    check_table_request(n_max, a, b)
     nq = (n_max - bg_core_size(j)) // 2
     r = min(a, b - a)  # class b - a mirrors class a
     return _placed(j, _residue_rows(b, nq)[r] if r <= nq else [0] * (nq + 1), n_max)
@@ -186,10 +192,7 @@ def pbar_abn_values(j: int, b: int, n_max: int) -> list[list[int]]:
     rank = a mod b.  Rows are shared: class b - a is the same list as class
     a, and every class that is zero through n_max is one list of zeros, so
     read, do not mutate."""
-    if b < 2:
-        raise ValueError("b must be >= 2")
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    check_table_request(n_max, b=b)
     nq = (n_max - bg_core_size(j)) // 2
     rows = _residue_rows(b, nq) if nq >= 0 else []
     for a, row in enumerate(rows):
@@ -208,8 +211,7 @@ JOINT_CAP = 60
 def joint_table(j: int, n_max: int) -> list[dict[int, int]]:
     """Exact joint counts for fixed rank j: row n maps quotient rank m to the
     number of partitions of n with ranks (j, m); n_max <= 60."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    check_table_request(n_max)
     if n_max > JOINT_CAP:
         raise ValueError(f"bivariate table capped at n_max = {JOINT_CAP}")
     shift = bg_core_size(j)

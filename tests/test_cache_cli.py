@@ -517,6 +517,7 @@ def test_cli_negative_n_max_is_argument_error(argv, capsys):
         (["equidist", "--j", "0", "--b", "1", "--n", "4"], "equidist needs 2 <= --b <= 1000000"),
         (["arcs", "--b", "1"], "arcs needs 2 <= --b <= 300"),
         (["arcs", "--b", "301"], "arcs needs 2 <= --b <= 300"),
+        (["asympt", "--n-list", "2", "--b", "7"], "count is zero at n = 2; pick a larger n for b = 7"),
     ],
 )
 def test_cli_out_of_range_flag_is_named(argv, message, capsys):
@@ -571,6 +572,36 @@ def test_cli_table_refuses_a_request_before_the_cache(argv, tmp_path, capsys):
         code = main([*prefix, *argv.split()])
         runs.append((code, *capsys.readouterr()))
     assert runs[0] == runs[1] == (2, "", f"error: {refused.value}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["turan", "--order", "2", "--range", "5"], "argument --range: range must look like LO:HI"),
+        (["asympt", "--n-list", "1,x"], "argument --n-list: n-list must be comma-separated integers"),
+    ],
+)
+def test_cli_unparsable_flag_value_exits_2(argv, message, capsys):
+    # argparse reports a flag its type function refuses and leaves main as
+    # SystemExit(2), before any handler runs
+    with pytest.raises(SystemExit) as exited:
+        main(["--no-cache", *argv])
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"bgrank {argv[0]}: error: {message}"
+
+
+def test_cli_uncreatable_cache_dir_is_argument_error(tmp_path, capsys):
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    cache_dir = blocker / "sub"
+    assert main(["--cache-dir", str(cache_dir), "table", "--stat", "p", "--n-max", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    miss, error = captured.err.splitlines()
+    assert miss == f"[cache] miss {cache_dir / 'p_N5.csv'}: unreadable"
+    assert error.startswith(f"error: cannot create cache dir {cache_dir}: ")
 
 
 def test_cli_jensen_renormalized_zero_shift_is_argument_error(capsys):
@@ -758,6 +789,39 @@ def test_cli_uses_cache_dir(tmp_path, capsys, selectors):
         after = path.stat()
         # a hit leaves the file alone: a rewrite renames a new inode into place
         assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+
+@pytest.mark.parametrize(
+    "flags, env, want",
+    [
+        (["--no-cache", "--cache-dir", "flag"], {"BGRANK_CACHE_DIR": "env", "XDG_CACHE_HOME": "xdg"}, None),
+        (["--cache-dir", "flag"], {"BGRANK_CACHE_DIR": "env", "XDG_CACHE_HOME": "xdg"}, "flag"),
+        ([], {"BGRANK_CACHE_DIR": "env", "XDG_CACHE_HOME": "xdg"}, "env"),
+        ([], {"XDG_CACHE_HOME": "xdg"}, "xdg/bgrank"),
+        ([], {"BGRANK_CACHE_DIR": "", "XDG_CACHE_HOME": ""}, "home/.cache/bgrank"),
+        ([], {}, "home/.cache/bgrank"),
+    ],
+)
+def test_cli_cache_dir_precedence(flags, env, want, tmp_path, monkeypatch):
+    # --no-cache, then --cache-dir, then $BGRANK_CACHE_DIR, then
+    # $XDG_CACHE_HOME/bgrank, then ~/.cache/bgrank; an empty variable is unset
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    for name in ("BGRANK_CACHE_DIR", "XDG_CACHE_HOME"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, str(tmp_path / value) if value else "")
+    args = cli.parse_args([str(tmp_path / f) if f == "flag" else f for f in flags] + ["validate"])
+    assert cli._resolve_cache_dir(args) == (None if want is None else tmp_path / want)
+
+
+def test_cli_default_cache_dir_is_under_home(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("HOME", str(tmp_path))
+    for name in ("BGRANK_CACHE_DIR", "XDG_CACHE_HOME"):
+        monkeypatch.delenv(name, raising=False)
+    assert main(["table", "--stat", "p", "--n-max", "5"]) == 0
+    path = tmp_path / ".cache" / "bgrank" / "p_N5.csv"
+    assert f"[cache] miss {path}: missing" in capsys.readouterr().err
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
 
 
 def test_cli_validate(capsys):

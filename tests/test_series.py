@@ -9,6 +9,7 @@ from bgrank.partitions import rank_census
 from bgrank.series import (
     OrthogonalityError,
     _grow_quotient,
+    check_table_request,
     euler_factor_product,
     joint_table,
     p2_values,
@@ -325,6 +326,36 @@ def test_joint_matches_enumeration():
 def test_joint_cap():
     with pytest.raises(ValueError):
         joint_table(0, 61)
+
+
+def _refusal(call):
+    """The message of the ValueError ``call()`` raises, or None."""
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@given(a=st.integers(-3, 8), b=st.integers(-3, 8), n_max=st.integers(-3, 60))
+@settings(max_examples=120, deadline=None)
+def test_builders_refuse_exactly_what_check_table_request_refuses(a, b, n_max):
+    # each builder states the request rules through the one check: it refuses
+    # a request exactly when the check does, with its message, else it builds;
+    # a case is (the check's arguments, the builder, the rows of its table)
+    cases = [
+        ((n_max,), lambda: p_values(n_max), n_max + 1),
+        ((n_max,), lambda: p2_values(n_max), n_max + 1),
+        ((n_max,), lambda: pbar_values(0, n_max), n_max + 1),
+        ((n_max, a, b), lambda: pbar_abn_table(0, a, b, n_max), n_max + 1),
+        ((n_max, None, b), lambda: pbar_abn_values(0, b, n_max), b),
+        ((n_max,), lambda: joint_table(0, n_max), n_max + 1),
+    ]
+    for request, build, rows in cases:
+        refused = _refusal(lambda: check_table_request(*request))
+        assert _refusal(build) == refused, request
+        if refused is None:
+            assert len(build()) == rows, request
 
 
 def test_dual_route_agreement_to_cap():

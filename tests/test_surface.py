@@ -99,3 +99,18 @@ def test_series_keeps_no_state_but_the_p_and_p2_memos():
         "if isinstance(v, (list, dict, set)) and not k.startswith('__'))))"
     )
     assert got == ["_P", "_P2"]
+
+
+def test_each_table_request_rule_is_raised_in_one_place():
+    # the request rules live in series.check_table_request alone: a second
+    # copy (a builder's or cmd_table's) could drift from it
+    raised = {"a must lie in [0, b)": [], "b must be >= 2": [], "n_max must be >= 0": []}
+    for path in (PACKAGE / "series.py", PACKAGE / "cli.py"):
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
+                    message = node.exc.args[0]
+                    if isinstance(message, ast.Constant) and message.value in raised:
+                        raised[message.value].append(f"{path.name}:{owner}")
+    assert raised == {message: ["series.py:check_table_request"] for message in raised}

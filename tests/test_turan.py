@@ -228,6 +228,16 @@ def test_turan_order3_onset(p2_seq):
     assert 23 in rep.failures and 0 in rep.failures
 
 
+def test_turan_geometric_sequence_is_all_equalities():
+    # a_m = 3^m makes both sides of each inequality equal, for either order
+    seq = [3**k for k in range(12)]
+    for order in ("2", "3"):
+        rep = turan_report(seq, order, (1, 5))
+        assert (rep.holds, rep.failures, rep.equalities) == (True, (), (1, 2, 3, 4, 5))
+    rep = turan_report(seq, "3", (0, 5))
+    assert (rep.holds, rep.failures, rep.equalities) == (True, (), (0, 1, 2, 3, 4, 5))
+
+
 def test_turan_convexity_pattern(p2_seq):
     rep = turan_report(p2_seq, "convexity", (1, 100))
     assert rep.failures == ((1, 1), (1, 2), (1, 3))
