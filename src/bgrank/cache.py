@@ -56,7 +56,9 @@ class StatTable:
     cache file and what ``bgrank table`` prints.  A table made from values
     renders the text at once and keeps the values; one the loader makes from
     verified text parses its values on first read, so a cache hit that is
-    only printed never parses an int.
+    only printed never parses an int.  ``n_max`` is set when the table is
+    made (from the values, or the request the loader verified the text
+    against), so reading it never rescans the text.
     """
 
     def __init__(self, kind: str, params: dict[str, int], values: list[int]):
@@ -66,22 +68,20 @@ class StatTable:
         self.params = params
         self.csv = "n,value\n" + "".join([f"{n},{v}\n" for n, v in enumerate(values)])
         self.values = values
+        self.n_max = len(values) - 1
 
     @classmethod
-    def _from_csv(cls, kind: str, params: dict[str, int], csv: str) -> StatTable:
-        """The table whose text the loader has verified (``_rows_ok``)."""
+    def _from_csv(cls, kind: str, params: dict[str, int], csv: str, n_max: int) -> StatTable:
+        """The table whose text the loader has verified (``_rows_ok``) as
+        rows 0..n_max."""
         table = cls.__new__(cls)
-        table.kind, table.params, table.csv = kind, params, csv
+        table.kind, table.params, table.csv, table.n_max = kind, params, csv, n_max
         return table
 
     @functools.cached_property
     def values(self) -> list[int]:
         # fields: "n", "value", then n and value of each row, then "" after the last newline
         return list(map(int, self.csv.replace("\n", ",").split(",")[3::2]))
-
-    @property
-    def n_max(self) -> int:
-        return self.csv.count("\n") - 2
 
 
 def _header(kind: str, params: dict, n_max: int) -> str:
@@ -117,12 +117,18 @@ def cache_filename(kind: str, params: dict, n_max: int) -> str:
     return "_".join(bits) + ".csv"
 
 
-def save_table(directory, table: StatTable) -> Path:
+def _make_dir(directory) -> Path:
+    """``directory`` as a Path, created with its parents if missing."""
     directory = Path(directory)
     try:
         directory.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise CacheWriteError(f"cannot create cache dir {directory}: {exc}") from exc
+    return directory
+
+
+def save_table(directory, table: StatTable) -> Path:
+    directory = _make_dir(directory)
     data = table.csv.encode("ascii")
     checksum = hashlib.sha256(data).hexdigest()
     head = f"{_header(table.kind, table.params, table.n_max)}{_SHA}{checksum}\n".encode("ascii")
@@ -187,7 +193,7 @@ def _verified(path: Path, kind: str, params: dict, n_max: int) -> StatTable | st
         return "checksum"
     if not _rows_ok(data, n_max):
         return "rows"
-    return StatTable._from_csv(kind, dict(params), data.decode("ascii"))
+    return StatTable._from_csv(kind, dict(params), data.decode("ascii"), n_max)
 
 
 def load_table(
@@ -228,12 +234,14 @@ def get_table(
     A ``directory`` of None means no cache.  A miss or reject prints one
     stderr line naming the file and the reason; a hit prints nothing.  A
     rebuilt table's text is rendered once, when the table is made, and
-    save_table writes that text.
+    save_table writes that text.  A cache directory that cannot be created
+    raises before the build, not after it.
     """
     if directory is not None:
         cached = load_table(directory, kind, params, n_max, reject=_report_miss)
         if cached is not None:
             return cached
+        _make_dir(directory)
     table = StatTable(kind, dict(params), build())
     if directory is not None:
         save_table(directory, table)

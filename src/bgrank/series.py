@@ -55,6 +55,17 @@ class OrthogonalityError(ArithmeticError):
 # counting tables
 
 
+def _gather(offsets: list[int]):
+    """A function of a list returning its entries at ``offsets`` as one
+    sequence: ``operator.itemgetter`` itself, except for one offset (it
+    returns a bare entry), none (it refuses) and exactly 20 (CPython 3.11
+    keeps each freed 20-item tuple on a free list it never takes from, up to
+    2000 of them, about 0.4 MiB)."""
+    if len(offsets) > 1 and len(offsets) != 20:
+        return operator.itemgetter(*offsets)
+    return lambda seq: [seq[o] for o in offsets]
+
+
 def _grow_quotient(out: list[int], src: Sequence[int], n_max: int) -> None:
     """Extend ``out`` in place to the coefficients of src / (q;q)_oo through q^n_max.
 
@@ -62,6 +73,15 @@ def _grow_quotient(out: list[int], src: Sequence[int], n_max: int) -> None:
     so out[n] = src[n] + sum_{g in G+} out[n-g] - sum_{g in G-} out[n-g],
     G+ (G-) the generalized pentagonal numbers k(3k-1)/2, k(3k+1)/2 <= n
     with k odd (even).  Entries of ``src`` past its end count as zero.
+
+    While ``out`` holds n entries, out[n - g] is out[-g]: for every n from
+    one generalized pentagonal number up to the next, G+ and G- are the same
+    and the terms sit at one fixed tuple of negative offsets.  One getter
+    per side (``_gather``, an ``itemgetter``) collects them in C and ``sum``
+    adds them, so no index arithmetic or list building runs per term; the
+    two getters are rebuilt only when n passes a generalized pentagonal
+    number, about 2 sqrt(2 n_max / 3) times.  What remains per step is the
+    big-integer additions, whose share grows with n_max.
     """
     if len(out) > n_max:
         return
@@ -72,12 +92,17 @@ def _grow_quotient(out: list[int], src: Sequence[int], n_max: int) -> None:
         dst = plus if k % 2 else minus
         dst += (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)
         k += 1
-    # plus and minus are ascending, so a bisection cuts each at n
-    for n in range(len(out), n_max + 1):
-        acc = sum([out[n - g] for g in plus[: bisect_right(plus, n)]]) - sum(
-            [out[n - g] for g in minus[: bisect_right(minus, n)]]
-        )
-        out.append(acc + src[n] if n < len(src) else acc)
+    n, cut = len(out), len(src)
+    while n <= n_max:
+        # plus and minus are ascending, so a bisection cuts each at n, and
+        # the next entry of either is where the segment stops
+        i, j = bisect_right(plus, n), bisect_right(minus, n)
+        stop = min([*plus[i : i + 1], *minus[j : j + 1], n_max + 1])
+        add, sub = _gather([-g for g in plus[:i]]), _gather([-g for g in minus[:j]])
+        for m in range(n, stop):
+            acc = sum(add(out)) - sum(sub(out))
+            out.append(acc + src[m] if m < cut else acc)
+        n = stop
 
 
 def check_table_request(n_max: int, a: int | None = None, b: int | None = None) -> None:

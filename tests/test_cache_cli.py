@@ -592,7 +592,12 @@ def test_cli_unparsable_flag_value_exits_2(argv, message, capsys):
     assert captured.err.splitlines()[-1] == f"bgrank {argv[0]}: error: {message}"
 
 
-def test_cli_uncreatable_cache_dir_is_argument_error(tmp_path, capsys):
+def test_cli_uncreatable_cache_dir_is_argument_error(tmp_path, monkeypatch, capsys):
+    # the directory is refused before the table is built, not after
+    def never(n_max):
+        pytest.fail("the table was built for a cache dir that cannot be created")
+
+    monkeypatch.setattr("bgrank.cli.p_values", never)
     blocker = tmp_path / "F"
     blocker.write_text("")
     cache_dir = blocker / "sub"
@@ -832,7 +837,7 @@ def _load_unverified(directory, kind, params, n_max, **_):
     """A loader that serves the data block after the magic, meta and sha
     lines without checking it."""
     text = (Path(directory) / cache_filename(kind, params, n_max)).read_text(encoding="ascii")
-    return StatTable._from_csv(kind, params, text.split("\n", 3)[3])
+    return StatTable._from_csv(kind, params, text.split("\n", 3)[3], n_max)
 
 
 # For each validate check, in suite order: the one input it reads, broken.

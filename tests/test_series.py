@@ -1,5 +1,7 @@
 """Exact series machinery: tables, inverses, crank-sum and bivariate routes."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,15 +56,114 @@ def test_p2_matches_self_convolution():
 
 
 def test_quotient_growth_in_steps_matches_one_step():
-    # pentagonal offsets must carry across each growth boundary
+    # pentagonal offsets must carry across each growth boundary, and the
+    # getters are rebuilt exactly at pentagonal numbers: from an empty list
+    # and from a prefix, land on, just before and just after each one
     for src in ((1,), p_values(300)):
-        stepped: list[int] = []
-        for n_max in (0, 37, 300):
-            _grow_quotient(stepped, src, n_max)
         fresh: list[int] = []
         _grow_quotient(fresh, src, 300)
-        assert stepped == fresh
+        for start in (0, 1, 6):
+            stepped = fresh[:start]
+            for g in _pentagonal_upto(300):
+                for n_max in (g - 1, g, g + 1):
+                    reach = max(len(stepped), n_max + 1)
+                    _grow_quotient(stepped, src, n_max)
+                    assert stepped == fresh[:reach]
+            _grow_quotient(stepped, src, 300)
+            assert stepped == fresh
     assert fresh == p2_values(300)
+
+
+def _pentagonal_upto(n_max):
+    """The generalized pentagonal numbers k(3k -+ 1)/2 <= n_max, ascending."""
+    pairs = ((k * (3 * k - 1) // 2, k * (3 * k + 1) // 2) for k in range(1, n_max + 1))
+    return sorted(g for pair in pairs for g in pair if g <= n_max)
+
+
+def _grow_quotient_oracle(out, src, n_max):
+    """The list-comprehension form of the pentagonal recurrence: each step
+    indexes out[n - g] for every generalized pentagonal g <= n."""
+    gs = _pentagonal_upto(n_max)
+    for n in range(len(out), n_max + 1):
+        # signs + + - - + + ... in ascending order: k odd adds, k even subtracts
+        acc = sum([out[n - g] if i % 4 < 2 else -out[n - g] for i, g in enumerate(gs) if g <= n])
+        out.append(acc + src[n] if n < len(src) else acc)
+
+
+def test_pentagonal_numbers_are_the_known_ones():
+    assert _pentagonal_upto(40) == [1, 2, 5, 7, 12, 15, 22, 26, 35, 40]
+
+
+def test_p_and_p2_ramanujan_congruences_to_20000():
+    # exact at full scale, and independent of any other route to p and p2:
+    # Ramanujan's congruences for p, and p2(5k + r) = 0 mod 5 for r = 2, 3, 4
+    # (1/(q;q)^2 = (q;q)^3 / (q;q)^5 with (q;q)^5 = (q^5;q^5) mod 5, and in
+    # Jacobi's (q;q)^3 = sum (-1)^k (2k+1) q^(k(k+1)/2) an exponent = 3 mod 5
+    # has k = 2 mod 5, so 2k + 1 = 0 mod 5: only exponents 0, 1 mod 5 survive)
+    pv, p2 = p_values(20000), p2_values(20000)
+    assert all(v % 5 == 0 for v in pv[4::5])
+    assert all(v % 7 == 0 for v in pv[5::7])
+    assert all(v % 11 == 0 for v in pv[6::11])
+    assert all(v % 5 == 0 for n, v in enumerate(p2) if n % 5 in (2, 3, 4))
+
+
+def test_growth_edge_cases():
+    out: list[int] = []
+    _grow_quotient(out, (1,), 0)
+    assert out == [1]
+    _grow_quotient(out, (1,), 0)  # already long enough: no change
+    assert out == [1]
+    out = []
+    _grow_quotient(out, (7,), 0)
+    assert out == [7]
+    # a src shorter than n_max + 1 reads as zero past its end
+    short = [1, 1, 2]
+    out = []
+    _grow_quotient(out, short, 40)
+    want: list[int] = []
+    _grow_quotient(want, short + [0] * 38, 40)
+    assert out == want
+    oracle: list[int] = []
+    _grow_quotient_oracle(oracle, short, 40)
+    assert out == oracle
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    src=st.lists(st.integers(-(10**30), 10**30), max_size=60),
+    start=st.integers(0, 80),
+    n_max=st.integers(0, 160),
+)
+def test_growth_matches_list_comprehension_oracle(src, start, n_max):
+    prefix: list[int] = []
+    _grow_quotient_oracle(prefix, src, start - 1)
+    got, want = prefix[:], prefix[:]
+    _grow_quotient(got, src, n_max)
+    _grow_quotient_oracle(want, src, n_max)
+    assert got == want
+
+
+def test_growth_holds_only_its_values():
+    # a grow allocates its values and keeps nothing else: no gathered tuple
+    # may outlive its step (a free list that is pushed but never popped
+    # would hold one per step of a 20-offset segment)
+    warm: list[int] = []
+    _grow_quotient(warm, (1,), 1000)
+    for src in ((1,), warm):
+        before = sys.getallocatedblocks()
+        out: list[int] = []
+        _grow_quotient(out, src, 1000)
+        assert sys.getallocatedblocks() - before <= len(out) + 50
+
+
+def test_p_and_p2_match_oracle_to_3000():
+    for src in ((1,), p_values(3000)):
+        want: list[int] = []
+        _grow_quotient_oracle(want, src, 3000)
+        got: list[int] = []
+        _grow_quotient(got, src, 3000)
+        assert got == want
+    assert got == p2_values(3000)
 
 
 def _mul(a, b):
@@ -139,12 +240,13 @@ def test_stat_tables():
     assert t.kind == "p" and t.values == [1, 1, 2, 3, 5, 7, 11]
     assert t.csv == "n,value\n0,1\n1,1\n2,2\n3,3\n4,5\n5,7\n6,11\n"
     # built from its text, as the loader builds it, a table parses the same values
-    back = StatTable._from_csv("p", {}, t.csv)
-    assert (back.kind, back.params, back.csv) == (t.kind, t.params, t.csv)
+    back = StatTable._from_csv("p", {}, t.csv, 6)
+    assert (back.kind, back.params, back.csv, back.n_max) == (t.kind, t.params, t.csv, t.n_max)
     assert back.values == t.values
     tb = StatTable("pbar_j", {"j": 0}, pbar_values(0, 12))
     assert tb.values[12] == 65 and tb.params == {"j": 0}
-    assert tb.n_max == StatTable._from_csv("pbar_j", {"j": 0}, tb.csv).n_max == 12
+    # a table made from values reads n_max off their count
+    assert tb.n_max == 12 and StatTable("p", {}, [1]).n_max == 0
     with pytest.raises(ValueError):
         StatTable("p", {}, [1, -2])
 
