@@ -627,7 +627,10 @@ def _emit(report: RunReport, args, started: float) -> None:
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
+    try:
+        args = parse_args(argv)
+    except SystemExit as exc:  # argparse has printed usage or --help/--version
+        return exc.code
     args.cache_dir = _resolve_cache_dir(args)
     started = time.perf_counter()
     try:

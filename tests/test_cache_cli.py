@@ -582,11 +582,9 @@ def test_cli_table_refuses_a_request_before_the_cache(argv, tmp_path, capsys):
     ],
 )
 def test_cli_unparsable_flag_value_exits_2(argv, message, capsys):
-    # argparse reports a flag its type function refuses and leaves main as
-    # SystemExit(2), before any handler runs
-    with pytest.raises(SystemExit) as exited:
-        main(["--no-cache", *argv])
-    assert exited.value.code == 2
+    # argparse reports a flag its type function refuses before any handler
+    # runs, and main returns its exit code rather than raising it
+    assert main(["--no-cache", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines()[-1] == f"bgrank {argv[0]}: error: {message}"
@@ -652,10 +650,15 @@ def test_cli_missing_param_is_argument_error():
 
 
 def test_cli_unknown_flag_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["--no-cache", "table", "--stat", "p", "--n-max", "4", "--bogus"])
-    assert exc.value.code == 2
+    assert main(["--no-cache", "table", "--stat", "p", "--n-max", "4", "--bogus"]) == 2
     assert "usage" in capsys.readouterr().err
+
+
+def test_cli_version_and_help_return_0(capsys):
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out == f"{TOOL_VERSION}\n"
+    assert main(["table", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: bgrank table")
 
 
 def test_cli_builds_one_parser_per_process(monkeypatch, tmp_path, capsys):
@@ -696,9 +699,7 @@ def test_cli_calls_share_no_parsed_state(capsys):
     # argparse leaves the shared parser usable
     assert main(["--no-cache", "table", "--stat", "pbar", "--j", "0", "--n-max", "6"]) == 0
     assert main(["--no-cache", "table", "--stat", "p", "--n-max", "6"]) == 0
-    with pytest.raises(SystemExit) as exc:
-        main(["--no-cache", "table", "--stat", "p"])
-    assert exc.value.code == 2
+    assert main(["--no-cache", "table", "--stat", "p"]) == 2
     capsys.readouterr()
     assert main(["--no-cache", "--format", "json", "table", "--stat", "p", "--n-max", "6"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -1340,8 +1341,5 @@ def test_cli_exit_codes_fuzzed(argv, cached, fmt, tmp_path_factory):
     prefix += ["--format", fmt]
     text = io.StringIO()
     with contextlib.redirect_stdout(text), contextlib.redirect_stderr(text):
-        try:
-            code = main(prefix + argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(prefix + argv)
     assert code in (0, 1, 2), text.getvalue()

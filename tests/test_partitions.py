@@ -1,5 +1,7 @@
 """Partition combinatorics against brute-force and hand-worked oracles."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -248,6 +250,53 @@ def test_rank_census_never_decomposes(monkeypatch):
     assert rank_census(12) == expected
 
 
+def _enumerate_oracle(n):
+    """Parts tuples of every partition of n in descending lexicographic order,
+    by recursion on the largest part: the enumerator's former form."""
+
+    def rec(remaining, cap, prefix):
+        if remaining == 0:
+            yield tuple(prefix)
+            return
+        for first in range(min(remaining, cap), 0, -1):
+            prefix.append(first)
+            yield from rec(remaining - first, first, prefix)
+            prefix.pop()
+
+    yield from rec(n, n, [])
+
+
+def test_enumeration_matches_recursive_oracle():
+    for n in range(31):
+        assert [p.parts for p in enumerate_partitions(n)] == list(_enumerate_oracle(n))
+
+
+def test_rank_census_matches_the_definitions():
+    # odd n included: bg_rank and the 2-quotient lengths of littlewood_decompose
+    for n in range(21):
+        expected = Counter(
+            (bg_rank(Partition(parts)), _quotient_rank_by_definition(Partition(parts)))
+            for parts in _enumerate_oracle(n)
+        )
+        assert rank_census(n) == expected
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        rank_census(-1)
+
+
+@given(parts_strategy(max_part=9, max_len=8), st.integers(2, 4), st.integers(0, 16))
+@settings(max_examples=60)
+def test_the_layer_hands_out_checked_partitions(p, t, n):
+    # enumerate_partitions and the Littlewood maps build their results from
+    # parts they made themselves, without a second check: each must still be
+    # a Partition that the validating constructor accepts as it is
+    assert p.size == sum(p.parts)
+    core, quots = littlewood_decompose(p, t)
+    handed_out = [core, *quots, littlewood_compose(core, quots, t), *enumerate_partitions(n)]
+    for q in handed_out:
+        assert type(q) is Partition and type(q.parts) is tuple
+        assert q == Partition(q.parts) and q.size == sum(q.parts)
+
+
 def test_enumeration_counts_and_order():
     assert list(enumerate_partitions(0)) == [EMPTY]
     fours = [p.parts for p in enumerate_partitions(4)]
@@ -258,7 +307,7 @@ def test_enumeration_counts_and_order():
         assert len(seen) == pv[n]
         assert len(set(seen)) == len(seen)
         assert all(a.parts > b.parts for a, b in zip(seen, seen[1:]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n must be >= 0"):
         next(enumerate_partitions(-1))
 
 

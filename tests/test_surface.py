@@ -114,3 +114,34 @@ def test_each_table_request_rule_is_raised_in_one_place():
                     if isinstance(message, ast.Constant) and message.value in raised:
                         raised[message.value].append(f"{path.name}:{owner}")
     assert raised == {message: ["series.py:check_table_request"] for message in raised}
+
+
+def _places_beads(node) -> bool:
+    """Bead b put onto runner b % t at height b // t: an append to a list
+    indexed by a remainder or of a quotient, a comprehension of quotients
+    filtered by a remainder, or a divmod."""
+
+    def is_op(expr, op) -> bool:
+        return isinstance(expr, ast.BinOp) and isinstance(expr.op, op)
+
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        return node.func.id == "divmod"
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "append":
+        target = node.func.value
+        return (isinstance(target, ast.Subscript) and is_op(target.slice, ast.Mod)) or any(
+            is_op(arg, ast.FloorDiv) for arg in node.args
+        )
+    if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)) and is_op(node.elt, ast.FloorDiv):
+        return any(is_op(sub, ast.Mod) for gen in node.generators for cond in gen.ifs for sub in ast.walk(cond))
+    return False
+
+
+def test_beads_go_onto_runners_in_one_place():
+    # the t-abacus is built by partitions._runners alone; every core, quotient
+    # and rank reads its runners, and a second placement could drift from it
+    placed = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", "<module>")
+            placed += [f"{path.name}:{owner}" for node in ast.walk(top) if _places_beads(node)]
+    assert placed == ["partitions.py:_runners"]
