@@ -63,11 +63,12 @@ from .turan import (
 CACHE_ENV = "BGRANK_CACHE_DIR"
 
 # a Sturm certificate's cost climbs steeply with the degree.  Onset over
-# d = 2..24 at the default --hi 500 takes about 0.14 s on a Xeon core (0.18 s
-# with a chain for every shift of the scans): at d <= 8 sign alternation
-# settles all but 60 of the 2352 shifts scanned down from 500, the failures
-# below each onset still take a chain apiece, and J^{d,500} is not hyperbolic
-# for d >= 9, so those scans stop at their first chain.  The scans alone over
+# d = 2..24 at the default --hi 500 takes about 0.19 s on a Xeon core (0.23 s
+# with a chain for every shift below an onset): at d <= 8 sign alternation
+# settles all but 60 of the 2352 shifts scanned down from 500, and J^{d,500}
+# is not hyperbolic for d >= 9, so those scans stop at their first chain.
+# Below the onsets, 702 of the 1162 shifts fail by Rolle from degree d - 1
+# and take no chain; the other 460 take one apiece.  The scans alone over
 # d = 2..55 take about 2.7 s either way
 ONSET_MAX_DEGREE = 24
 
@@ -78,6 +79,12 @@ ARCS_MAX_B = 300
 # equidist prints one row per class mod b: at --n 1000, b = 10**6 peaks at about
 # 240 MiB (CSV) and 300 MiB (JSON) on an x86-64 Linux host, linear in b
 EQUIDIST_MAX_B = 10**6
+
+# jensen, turan and onset read alpha(m) = p2(m) from one table built up to the
+# largest m they need, refused above the cap before any of it is built: p2 to
+# m = 10**5 takes about 3.8 s and peaks at 46 MiB on a Xeon core, and 2*10**5
+# takes 19.6 s
+ALPHA_MAX_M = 10**5
 
 CANDIDATE_DIRECT = 6.0**-0.75
 CANDIDATE_PRINTED = math.sqrt(2.0) * 6.0**-0.75
@@ -98,6 +105,14 @@ def _resolve_cache_dir(args) -> Path | None:
 
 # ---------------------------------------------------------------------------
 # subcommands
+
+
+def _alpha_through(m: int, command: str) -> list[int]:
+    """alpha(0..m) for ``command`` (just alpha(0) for m < 0), refused with a
+    ValueError above ALPHA_MAX_M before it is built."""
+    if m > ALPHA_MAX_M:
+        raise ValueError(f"{command} reads alpha(m) up to m = {m}, above the cap of {ALPHA_MAX_M}")
+    return p2_values(max(0, m))
 
 
 # stat -> (cache kind, selectors it takes, route label, values builder); the
@@ -232,7 +247,7 @@ def cmd_jensen(args) -> RunReport:
     d, n = args.d, args.n
     if d < 1 or n < 0:
         raise ValueError("jensen needs --d >= 1 and --n >= 0")
-    seq = p2_values(n + d + 1)
+    seq = _alpha_through(n + d, "jensen")
     if args.renormalized:
         coeffs = renormalized_jensen(seq, d, n, renorm_sequences_step2(n))
         columns = ("k", "coefficient", "hermite")
@@ -257,9 +272,9 @@ def cmd_jensen(args) -> RunReport:
 def cmd_turan(args) -> RunReport:
     lo, hi = args.range
     order = args.order
-    need = {"convexity": 2 * hi + 1, "3": hi + 4}.get(order, hi + 2)
-    # never a negative length: turan_report names a bad range itself
-    rep = turan_report(p2_values(max(0, need)), order, (lo, hi))
+    # the largest index the scan reads; turan_report names a bad range itself
+    top = {"convexity": 2 * hi, "3": hi + 3}.get(order, hi + 1)
+    rep = turan_report(_alpha_through(top, "turan"), order, (lo, hi))
     rows = [(str(idx), "failure") for idx in rep.failures]
     rows += [(str(idx), "equality") for idx in rep.equalities]
     report = RunReport(
@@ -280,11 +295,18 @@ def cmd_onset(args) -> RunReport:
     max_d, hi = args.max_degree, args.hi
     if not 2 <= max_d <= ONSET_MAX_DEGREE or hi < 0:
         raise ValueError(f"onset needs 2 <= --max-degree <= {ONSET_MAX_DEGREE} and --hi >= 0")
-    seq = p2_values(hi + max_d + 1)
+    seq = _alpha_through(hi + max_d, "onset")
     rows = []
+    below: list[int] | None = None
     for d in range(2, max_d + 1):
         m0 = hyperbolicity_onset(seq, d, hi)
-        below = None if m0 is None else [m for m in range(m0) if not is_hyperbolic(jensen_poly(seq, d, m))]
+        # d/dX J^{d,m} = d J^{d-1,m+1}, and a hyperbolic polynomial has a
+        # hyperbolic derivative (Rolle): a failure of degree d - 1 at m + 1 is
+        # one of degree d at m, settled with no chain
+        inherited = set(below or ())
+        below = None if m0 is None else [
+            m for m in range(m0) if m + 1 in inherited or not is_hyperbolic(jensen_poly(seq, d, m))
+        ]
         rows.append((d, m0, below))
     report = RunReport(
         command="onset",

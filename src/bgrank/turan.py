@@ -227,7 +227,14 @@ def turan_report(seq: Sequence[int], order: str, index_range: tuple[int, int]) -
                      >= (a_{m+1} a_{m+2} - a_m a_{m+3})^2
     convexity:     alpha(n1) alpha(n2) > alpha(n1 + n2), lo <= n1 <= n2 <= hi
 
-    All comparisons are exact integer arithmetic.
+    All comparisons are exact integer arithmetic.  The convexity scan first
+    finds the least t with alpha > 0 on [t - 1, 2 hi] and order 2 at every m
+    in [t, 2 hi - 1], then leaves each n1's scan at its first success with
+    n2 >= t.  This is exact: on that window alpha(k + 1)/alpha(k) does not
+    increase, so alpha(n1 + n2)/alpha(n2), a product of n1 such ratios, does
+    not grow with n2, and a success stays one up to n2 = hi.  For a sequence
+    positive and log-concave past a fixed index the scan is O(hi + failures)
+    products.
     """
     lo, hi = index_range
     if lo > hi:
@@ -258,11 +265,19 @@ def turan_report(seq: Sequence[int], order: str, index_range: tuple[int, int]) -
     elif order == "convexity":
         if lo < 0 or 2 * hi >= len(seq):
             raise ValueError("convexity scan needs indices up to 2*hi inside the sequence")
+        # least t with seq > 0 on [t - 1, 2 hi] and order 2 at every m in [t, 2 hi - 1]
+        t = 2 * hi + 2
+        while t > 1 and seq[t - 2] > 0 and (t > 2 * hi or seq[t - 1] * seq[t - 1] >= seq[t - 2] * seq[t]):
+            t -= 1
         for n1 in range(lo, hi + 1):
+            a = seq[n1]
             for n2 in range(n1, hi + 1):
-                lhs = seq[n1] * seq[n2]
+                lhs = a * seq[n2]
                 rhs = seq[n1 + n2]
-                if lhs <= rhs:
+                if lhs > rhs:
+                    if n2 >= t:
+                        break
+                else:
                     failures.append((n1, n2))
                     if lhs == rhs:
                         equalities.append((n1, n2))

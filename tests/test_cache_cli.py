@@ -518,6 +518,12 @@ def test_cli_negative_n_max_is_argument_error(argv, capsys):
         (["arcs", "--b", "1"], "arcs needs 2 <= --b <= 300"),
         (["arcs", "--b", "301"], "arcs needs 2 <= --b <= 300"),
         (["asympt", "--n-list", "2", "--b", "7"], "count is zero at n = 2; pick a larger n for b = 7"),
+        (
+            ["turan", "--order", "convexity", "--range", "2:1000000"],
+            "turan reads alpha(m) up to m = 2000000, above the cap of 100000",
+        ),
+        (["onset", "--hi", "99996"], "onset reads alpha(m) up to m = 100001, above the cap of 100000"),
+        (["jensen", "--d", "2", "--n", "99999"], "jensen reads alpha(m) up to m = 100001, above the cap of 100000"),
     ],
 )
 def test_cli_out_of_range_flag_is_named(argv, message, capsys):
@@ -763,6 +769,78 @@ def test_cli_onset(capsys):
     assert "no stable onset by m = 100: [5, 6]" in capsys.readouterr().err
     assert main(["--no-cache", "onset", "--max-degree", "1"]) == 2
     assert main(["--no-cache", "onset", "--hi", "-1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, top",
+    [
+        ("turan --order convexity --range 2:50000", 100000),
+        ("turan --order 2 --range 1:99999", 100000),
+        ("onset --max-degree 24 --hi 99976", 100000),
+        ("jensen --d 3 --n 99997", 100000),
+        ("turan --order convexity --range 2:50001", None),
+        ("onset --max-degree 24 --hi 99977", None),
+    ],
+)
+def test_cli_alpha_cap_is_checked_before_the_build(argv, top, monkeypatch, capsys):
+    # the table is asked for up to the cap and never beyond it
+    asked = []
+
+    def builder(m):
+        asked.append(m)
+        raise ValueError("stub builder")
+
+    monkeypatch.setattr("bgrank.cli.p2_values", builder)
+    assert main(["--no-cache", *argv.split()]) == 2
+    err = capsys.readouterr().err
+    assert asked == ([] if top is None else [top])
+    assert ("stub builder" in err) == (top is not None)
+
+
+def _onset_rows_oracle(seq, max_d, hi):
+    """onset's rows with one Sturm chain for every shift below an onset."""
+    rows = []
+    for d in range(2, max_d + 1):
+        m0 = turan.hyperbolicity_onset(seq, d, hi)
+        below = None if m0 is None else [m for m in range(m0) if not turan.is_hyperbolic(turan.jensen_poly(seq, d, m))]
+        rows.append({"d": d, "onset": m0, "failures_below": below})
+    return rows
+
+
+def _onset_json_rows(max_d, hi):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        main(["--no-cache", "--format", "json", "onset", "--max-degree", str(max_d), "--hi", str(hi)])
+    return json.loads(out.getvalue())["rows"]
+
+
+@pytest.mark.parametrize("max_d, hi", [(6, 300), (24, 500)])
+def test_cli_onset_failures_below_match_the_sturm_only_rows(max_d, hi):
+    assert _onset_json_rows(max_d, hi) == _onset_rows_oracle(p2_values(hi + max_d), max_d, hi)
+
+
+@given(st.lists(st.integers(1, 60), min_size=16, max_size=16))
+@settings(max_examples=200, deadline=None)
+def test_cli_onset_rows_match_the_sturm_only_rows_on_any_positive_sequence(seq):
+    # the inheritance must hold for any sequence: on p2 an unsound one, a
+    # failure at (d - 1, m - 1) taken as one at (d, m), gives the same rows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("bgrank.cli.p2_values", lambda m: seq[: m + 1])
+        rows = _onset_json_rows(5, 10)
+    assert rows == _onset_rows_oracle(seq, 5, 10)
+
+
+def test_cli_onset_inherits_failures_below_by_rolle(monkeypatch, capsys):
+    seq = p2_values(524)
+    chains, build = [], turan.sturm_chain
+    monkeypatch.setattr(turan, "sturm_chain", lambda coeffs: chains.append(coeffs) or build(coeffs))
+    for d in range(2, 25):
+        turan.hyperbolicity_onset(seq, d, 500)
+    onset_chains = len(chains)
+    chains.clear()
+    assert main(["--no-cache", "onset", "--max-degree", "24", "--hi", "500"]) == 1
+    # 702 of the 1162 shifts below the onsets fail at d - 1 and m + 1
+    assert len(chains) - onset_chains <= 460
 
 
 @pytest.mark.parametrize(

@@ -246,6 +246,74 @@ def test_turan_convexity_pattern(p2_seq):
     assert rep.holds
 
 
+def _convexity_oracle(seq, lo, hi):
+    """The convexity scan over every pair n1 <= n2: the reference."""
+    failures, equalities = [], []
+    for n1 in range(lo, hi + 1):
+        for n2 in range(n1, hi + 1):
+            lhs, rhs = seq[n1] * seq[n2], seq[n1 + n2]
+            if lhs <= rhs:
+                failures.append((n1, n2))
+                if lhs == rhs:
+                    equalities.append((n1, n2))
+    return (not failures, tuple(failures), tuple(equalities))
+
+
+def _p2_moved(case):
+    """p2(0..2h) with entry i (counted down from 2h) scaled by num/den: a dip
+    breaks order 2 at i, a bump next to it, a zero or a sign flip positivity."""
+    h, back, (num, den) = case
+    seq = p2_values(2 * h)
+    i = max(0, 2 * h - back)
+    seq[i] = seq[i] * num // den
+    return seq
+
+
+convexity_sequences = st.one_of(
+    st.lists(st.integers(-3, 12), min_size=1, max_size=41),
+    st.tuples(
+        st.integers(1, 30),
+        st.integers(0, 60),
+        st.sampled_from([(1, 1), (0, 1), (-1, 1), (1, 10**9), (1, 2), (3, 2), (10**6, 1)]),
+    ).map(_p2_moved),
+)
+
+
+@given(convexity_sequences, st.data())
+@settings(max_examples=400, deadline=None)
+def test_convexity_scan_equals_the_pairwise_oracle(seq, data):
+    hi = (len(seq) - 1) // 2
+    lo = data.draw(st.sampled_from(sorted({0, min(1, hi), data.draw(st.integers(0, hi))})))
+    assert tuple(turan_report(seq, "convexity", (lo, hi))) == _convexity_oracle(seq, lo, hi)
+
+
+def test_convexity_scan_equals_the_pairwise_oracle_on_class_sequences(p2_seq):
+    # p and p̄_0(0, 2; 2m), which has zeros, besides the pair counts
+    for seq in (p2_seq, p_values(300), pbar_abn_values(0, 2, 600)[0][0::2]):
+        for lo, hi in ((0, 150), (1, 150), (2, 120)):
+            assert tuple(turan_report(seq, "convexity", (lo, hi))) == _convexity_oracle(seq, lo, hi)
+
+
+class _CountingList(list):
+    """A list that counts the entries read through indexing."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        got = super().__getitem__(i)
+        self.reads += len(got) if isinstance(i, slice) else 1
+        return got
+
+
+def test_convexity_scan_reads_linearly_many_entries():
+    hi = 2000
+    seq = _CountingList(p2_values(2 * hi))
+    assert turan_report(seq, "convexity", (2, hi)).holds
+    # 13 hi: 5 reads an index of [1, 2 hi] for the log-concave tail and 3 an
+    # n1 for the pairs, where the pairwise scan reads about 3 hi^2 / 2
+    assert seq.reads <= 16 * hi
+
+
 def test_turan_constant_sequence():
     rep = turan_report([7] * 30, "2", (1, 28))
     assert rep.holds
