@@ -63,13 +63,14 @@ from .turan import (
 CACHE_ENV = "BGRANK_CACHE_DIR"
 
 # a Sturm certificate's cost climbs steeply with the degree.  Onset over
-# d = 2..24 at the default --hi 500 takes about 0.19 s on a Xeon core (0.23 s
-# with a chain for every shift below an onset): at d <= 8 sign alternation
-# settles all but 60 of the 2352 shifts scanned down from 500, and J^{d,500}
-# is not hyperbolic for d >= 9, so those scans stop at their first chain.
-# Below the onsets, 702 of the 1162 shifts fail by Rolle from degree d - 1
-# and take no chain; the other 460 take one apiece.  The scans alone over
-# d = 2..55 take about 2.7 s either way
+# d = 2..24 at the default --hi 500 takes about 0.135 s on a Xeon core (0.14 s
+# with every alternation sign exact, 0.21 s with a chain for every shift below
+# an onset): at d <= 8 sign alternation settles all but 60 of the 2352 shifts
+# scanned down from 500, and J^{d,500} is not hyperbolic for d >= 9, so those
+# scans stop at their first chain.  Below the onsets, 702 of the 1162 shifts
+# fail by Rolle from degree d - 1 and take no chain; the other 460 take one
+# apiece.  The scans alone over d = 2..55 take about 4.0 s, float or exact
+# signs alike
 ONSET_MAX_DEGREE = 24
 
 # h_congruence_numeric does O(b^2) work per sample point: the arc check takes
@@ -85,6 +86,13 @@ EQUIDIST_MAX_B = 10**6
 # m = 10**5 takes about 3.8 s and peaks at 46 MiB on a Xeon core, and 2*10**5
 # takes 19.6 s
 ALPHA_MAX_M = 10**5
+
+# table builds a stat up to --n-max, refused above the stat's cap before the
+# cache is read: p to 10**5 takes about 2.4 s and 28 MiB on a Xeon core, p2 to
+# 10**5 3.8-4.9 s and 46 MiB (2*10**5 takes 19.6 s), pbar reads p2 to about
+# n_max/2, and pbar-ab holds (min(b//2, nq) + 1)(nq + 1) residue entries,
+# nq = n_max/2: 148 MiB and about 1 s at b = n_max = 4000
+TABLE_MAX_N = {"p": 10**5, "p2": ALPHA_MAX_M, "pbar": 2 * ALPHA_MAX_M, "pbar-ab": 4000}
 
 CANDIDATE_DIRECT = 6.0**-0.75
 CANDIDATE_PRINTED = math.sqrt(2.0) * 6.0**-0.75
@@ -143,6 +151,8 @@ def cmd_table(args) -> RunReport:
     # before the cache is read: a cached file must not answer a request the
     # builder would refuse
     check_table_request(args.n_max, args.a, args.b)
+    if args.n_max > TABLE_MAX_N[stat]:
+        raise ValueError(f"table --stat {stat} needs --n-max <= {TABLE_MAX_N[stat]}")
     table = cache.get_table(
         kind, {name: params[name] for name in takes}, args.n_max, lambda: build(args), args.cache_dir
     )

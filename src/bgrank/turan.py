@@ -18,8 +18,11 @@ p has deg p - deg g distinct complex roots, so one chain certifies
 hyperbolicity: p is hyperbolic iff the chain counts that many distinct real
 roots.  An onset scan first tries a cheaper exact certificate: if the signs
 of p strictly alternate at d + 1 increasing points, placed where the Hermite
-limit puts the roots, p has d distinct real roots.  A chain is built only
-where that fails.  The renormalized-limit comparisons are floating point.
+limit puts the roots, p has d distinct real roots.  Each sign is p's own:
+float64 Horner settles it only past a rigorous error bound, and exact
+integer Horner at the same dyadic point settles the rest.  A chain is built
+only where the certificate fails.  The renormalized-limit comparisons are
+floating point.
 """
 
 from __future__ import annotations
@@ -289,6 +292,8 @@ def turan_report(seq: Sequence[int], order: str, index_range: tuple[int, int]) -
 # ---------------------------------------------------------------------------
 # hyperbolicity onsets
 
+_U = 2.0**-53  # unit roundoff of float64
+
 
 def _hermite_probes(d: int) -> list[float]:
     """d + 1 increasing floats that separate the zeros of H_d (d >= 2): the
@@ -327,22 +332,80 @@ def _hermite_probes(d: int) -> list[float]:
     return [2 * zeros[0] - zeros[1], *mids, 2 * zeros[-1] - zeros[-2]]
 
 
-def _signs_alternate(coeffs: Sequence, alpha: Sequence[int], probes: Sequence[float]) -> bool:
-    """True only if the polynomial ``coeffs`` of degree at most d has d
-    distinct real roots, shown by exact signs that strictly alternate at the
-    d + 1 points the ``probes`` map to; False means unsettled, not
-    non-hyperbolic.
-
-    ``alpha`` holds the sequence at n, n + 1, n + 2; the recentring pair is
-    read off it, delta^2 = l1 - l2/2 and A = l1 + delta^2 with
-    l_k = log(alpha(n + k)/alpha(n)), and each probe eta of the Hermite limit
-    maps to the float x = (delta eta - 1)/e^A.  Floats only choose the points:
-    each x is a dyadic rational at which p is evaluated exactly.  These leave
-    the polynomial unsettled: a probe count other than d + 1, an entry of
-    ``alpha`` that is not positive, ratios beyond the float range, and a
-    point that is not finite or not above its predecessor.
+def _float_gate(probes: Sequence[float]) -> float:
+    """The delta at or below which the certificate tries no float for these
+    d + 1 >= 2 probes.  Near the Hermite limit p(x_i) is about
+    alpha(n) delta^d H_d(eta_i) and the bound of ``_float_signs`` about
+    (4d + 10) u alpha(n) 2^d, so every point clears it only if
+    (delta/2)^d min_i |H_d(eta_i)| > (4d + 10) u: delta^d above about 2^-48
+    at d = 2..6, 2^-50 at d = 8, 2^-54.5 at d = 12.  It picks a route, never
+    a sign.
     """
-    p = [operator.index(c) for c in coeffs]  # TypeError off the integers, as in sturm_chain
+    d = len(probes) - 1
+    h = hermite(d)
+    low = min(abs(sum(c * eta**k for k, c in enumerate(h))) for eta in probes)
+    return 2 * ((4 * d + 10) * _U / low) ** (1 / d) if low else math.inf
+
+
+def _floats(values: Sequence[int]) -> list[float]:
+    """float64 of each integer, inf past 2^1023 (TypeError off the integers)."""
+    return [float(v) if v.bit_length() < 1024 else math.inf for v in map(operator.index, values)]
+
+
+def _exact_sign(p: Sequence[int], x: float) -> int:
+    """Sign of p at the dyadic x = num/2^k: 2^(kd) p(x) by integer Horner,
+    each power of 2^k a shift."""
+    num, den = x.as_integer_ratio()
+    k = den.bit_length() - 1
+    acc, shift = p[-1], 0
+    for c in p[-2::-1]:
+        shift += k
+        acc = acc * num + (c << shift)
+    return (acc > 0) - (acc < 0)
+
+
+def _float_signs(fcs: Sequence[float], xs: Sequence[float]) -> list[int]:
+    """Sign of p at each x where float64 Horner settles it, 0 where it defers.
+
+    ``fcs`` holds p's integer coefficients c_k as integer-valued floats within
+    a relative 3u of them (u = 2^-53; at most three roundings: the integer,
+    a binomial, their product), or inf.  By Higham (Accuracy and Stability,
+    5.1), the float Horner value p^(x) has |p(x) - p^(x)| <=
+    (gamma_2d + gamma_3/(1 - gamma_3)) sum |c^_k| |x|^k, gamma_n = nu/(1 - nu).
+    The sum is at most S = sum |c^_k| X^k, X = max |x_i|, whose float Horner
+    value S^ is at least (1 - gamma_2d) S, so for d < 2^20 the error is below
+    (2d + 4) u S^, and a sign counts only where |p^(x)| > (4d + 10) u S^ as
+    rounded.  A settled sign is therefore p's, and at a root of p the filter
+    defers.  Outside the hypotheses every point defers: S^ must be finite
+    (no inf coefficient and no overflow, as |p^| <= S^ at every Horner step
+    by monotone rounding), and nothing may underflow: each nonzero Horner
+    partial of integer-valued coefficients is at least 2^-53 min(1, |x|)^k,
+    k <= d, so min(1, min |x_i|)^d > 2^-900 keeps every product normal.
+    """
+    d = len(fcs) - 1
+    absx = list(map(abs, xs))
+    top = max(absx)
+    s = 0.0
+    for c in reversed(fcs):
+        s = s * top + abs(c)
+    if not (s < math.inf and min(1.0, min(absx)) ** d > 2.0**-900):
+        return [0] * len(xs)
+    bound = (4 * d + 10) * _U * s
+    lead, rest = fcs[-1], fcs[-2::-1]
+    signs = []
+    for x in xs:
+        v = lead
+        for c in rest:
+            v = v * x + c
+        signs.append((v > bound) - (v < -bound))
+    return signs
+
+
+def _alternates(alpha: Sequence[int], probes: Sequence[float], gate: float, floats, exact) -> bool:
+    """``_signs_alternate`` for the polynomial whose coefficients ``floats()``
+    returns as for ``_float_signs`` and ``exact()`` as integers, each called
+    only when a point needs it: the floats only if delta > ``gate``.
+    """
     a0, a1, a2 = alpha
     if a0 <= 0 or a1 <= 0 or a2 <= 0:
         return False
@@ -355,46 +418,87 @@ def _signs_alternate(coeffs: Sequence, alpha: Sequence[int], probes: Sequence[fl
         xs = [(delta * eta - 1) * scale for eta in probes]
     except (OverflowError, ValueError):  # a ratio or e^-A beyond float64
         return False
-    ascending = all(u < v for u, v in zip(xs, xs[1:]))
-    if len(xs) != len(p) or not ascending or not all(map(math.isfinite, xs)):
+    if not all(map(operator.lt, xs, xs[1:])) or not all(map(math.isfinite, xs)):
         return False
+    signs = _float_signs(floats(), xs) if delta > gate else [0] * len(xs)
+    p = None
     last = 0
-    for x in xs:
-        num, den = x.as_integer_ratio()
-        # den^d p(num/den) by Horner; den > 0 keeps the sign
-        acc, power = p[-1], 1
-        for c in reversed(p[:-1]):
-            power *= den
-            acc = acc * num + c * power
-        sign = (acc > 0) - (acc < 0)
+    for x, sign in zip(xs, signs):
+        if not sign:
+            if p is None:
+                p = exact()
+            sign = _exact_sign(p, x)
         if sign in (0, last):
             return False
         last = sign
     return True
 
 
+def _signs_alternate(coeffs: Sequence, alpha: Sequence[int], probes: Sequence[float]) -> bool:
+    """True only if the polynomial ``coeffs`` of degree at most d has d
+    distinct real roots, shown by signs that strictly alternate at the d + 1
+    points the ``probes`` map to; False means unsettled, not non-hyperbolic.
+
+    ``alpha`` holds the sequence at n, n + 1, n + 2; the recentring pair is
+    read off it, delta^2 = l1 - l2/2 and A = l1 + delta^2 with
+    l_k = log(alpha(n + k)/alpha(n)), and each probe eta of the Hermite limit
+    maps to the float x = (delta eta - 1)/e^A, a dyadic rational.  A sign of
+    p(x) is settled in float64 only where Horner's value exceeds
+    (4d + 10) 2^-53 S^, S^ the float Horner value of sum |c_k| max|x_i|^k;
+    ``_float_signs`` proves that bound and defers every point unless S^ is
+    finite and min(1, min |x_i|)^d > 2^-900 (no overflow, no underflow).
+    Every other sign comes from exact integer Horner at the same x, so each
+    sign is p's own.  No float is tried where delta <= ``_float_gate``.
+    These leave the polynomial unsettled: a probe count other than d + 1, an
+    entry of ``alpha`` that is not positive, ratios beyond the float range,
+    and a point that is not finite or not above its predecessor.
+    """
+    p = [operator.index(c) for c in coeffs]  # TypeError off the integers, as in sturm_chain
+    if len(probes) != len(p):
+        return False
+    return _alternates(alpha, probes, _float_gate(probes), lambda: _floats(p), lambda: p)
+
+
 def hyperbolicity_onset(seq: Sequence[int], d: int, hi: int) -> int | None:
     """Smallest m0 >= 0 with J^{d,m} hyperbolic for every m in [m0, hi]; None
     if even m = hi fails or hi < 0.  Scanned down from hi to the first
-    failure, each shift settled exactly.
+    failure, each shift settled exactly; seq[0..hi + d] must be integers.
 
     For d >= 2 a shift first tries the sign-alternation certificate: after
     recentring, J^{d,m}((delta X - 1)/e^A) tends to a multiple of H_d(X)
     (Griffin-Ono-Rolen-Zagier), so points between the mapped zeros of H_d
-    separate the roots of J.  Exact signs that alternate at d + 1 increasing
+    separate the roots of J.  Signs that alternate at d + 1 increasing
     points give d sign changes, hence d distinct real roots by the
     intermediate value theorem, and a degree-d polynomial has no more: it is
-    hyperbolic.  The certificate never rejects, so a shift it leaves
-    unsettled, including every non-hyperbolic one, gets the exact Sturm
-    verdict of ``is_hyperbolic``; the onset is the Sturm-only scan's.
+    hyperbolic.  Each sign is J's own (``_signs_alternate``): float64 Horner
+    settles it only past the bound (4d + 10) 2^-53 S^, with S^ finite and no
+    underflow, from floats of alpha taken once per scan and binomials once
+    per degree, and exact integer Horner at the same dyadic point settles
+    the rest.  No float is tried where delta <= ``_float_gate`` (delta^d
+    below about 2^-48 at d <= 6, 2^-50 at d = 8), and the integer
+    coefficients are built only when a point or a chain needs them.  The
+    certificate never rejects, so a shift it leaves unsettled, including
+    every non-hyperbolic one, gets the exact Sturm verdict of
+    ``is_hyperbolic``; the onset is the Sturm-only scan's.
     """
     if hi < 0:
         return None
-    probes = _hermite_probes(d) if d >= 2 else None
+    jensen_poly(seq, d, hi)  # jensen_poly's ValueError for a bad d or a short seq
+    binoms = [math.comb(d, k) for k in range(d + 1)]
+    if d >= 2:
+        probes = _hermite_probes(d)
+        gate = _float_gate(probes)
+        fbinoms = list(map(float, binoms))
+        fseq = _floats(seq[: hi + d + 1])
     for m in range(hi, -1, -1):
-        coeffs = jensen_poly(seq, d, m)
-        if probes and _signs_alternate(coeffs, seq[m : m + 3], probes):
+        # both builders run, if at all, before m moves on
+        def jensen() -> tuple[int, ...]:
+            return tuple(map(operator.mul, binoms, seq[m : m + d + 1]))
+
+        if d >= 2 and _alternates(
+            seq[m : m + 3], probes, gate, lambda: list(map(operator.mul, fbinoms, fseq[m : m + d + 1])), jensen
+        ):
             continue
-        if not is_hyperbolic(coeffs):
+        if not is_hyperbolic(jensen()):
             return None if m == hi else m + 1
     return 0

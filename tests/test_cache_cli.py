@@ -524,6 +524,13 @@ def test_cli_negative_n_max_is_argument_error(argv, capsys):
         ),
         (["onset", "--hi", "99996"], "onset reads alpha(m) up to m = 100001, above the cap of 100000"),
         (["jensen", "--d", "2", "--n", "99999"], "jensen reads alpha(m) up to m = 100001, above the cap of 100000"),
+        (["table", "--stat", "p", "--n-max", "100001"], "table --stat p needs --n-max <= 100000"),
+        (["table", "--stat", "p2", "--n-max", "100001"], "table --stat p2 needs --n-max <= 100000"),
+        (["table", "--stat", "pbar", "--j", "0", "--n-max", "200001"], "table --stat pbar needs --n-max <= 200000"),
+        (
+            ["table", "--stat", "pbar-ab", "--j", "0", "--a", "0", "--b", "4000", "--n-max", "4001"],
+            "table --stat pbar-ab needs --n-max <= 4000",
+        ),
     ],
 )
 def test_cli_out_of_range_flag_is_named(argv, message, capsys):
@@ -795,6 +802,34 @@ def test_cli_alpha_cap_is_checked_before_the_build(argv, top, monkeypatch, capsy
     err = capsys.readouterr().err
     assert asked == ([] if top is None else [top])
     assert ("stub builder" in err) == (top is not None)
+
+
+@pytest.mark.parametrize(
+    "argv, builder, top",
+    [
+        ("--stat p --n-max 100000", "p_values", 100000),
+        ("--stat p --n-max 100001", "p_values", None),
+        ("--stat p2 --n-max 100000", "p2_values", 100000),
+        ("--stat p2 --n-max 100001", "p2_values", None),
+        ("--stat pbar --j 0 --n-max 200000", "pbar_values", 200000),
+        ("--stat pbar --j -1 --n-max 200001", "pbar_values", None),
+        ("--stat pbar-ab --j 0 --a 0 --b 4000 --n-max 4000", "pbar_abn_table", 4000),
+        ("--stat pbar-ab --j 0 --a 1 --b 5 --n-max 4001", "pbar_abn_table", None),
+    ],
+)
+def test_cli_table_cap_is_checked_before_the_cache_and_the_build(argv, builder, top, tmp_path, monkeypatch, capsys):
+    # a request at the cap reaches the cache and the builder, one above it neither
+    asked = []
+
+    def stub(*args):
+        asked.append(args[-1])
+        raise ValueError("stub builder")
+
+    monkeypatch.setattr(f"bgrank.cli.{builder}", stub)
+    assert main(["--cache-dir", str(tmp_path), "table", *argv.split()]) == 2
+    err = capsys.readouterr().err
+    assert asked == ([] if top is None else [top])
+    assert ("[cache] miss" in err) == ("stub builder" in err) == (top is not None)
 
 
 def _onset_rows_oracle(seq, max_d, hi):

@@ -1,6 +1,7 @@
 """Jensen/Sturm/Hermite machinery: exact certificates and float limits."""
 
 import math
+import operator
 import time
 from fractions import Fraction
 
@@ -12,6 +13,9 @@ from bgrank import turan
 from bgrank.series import p2_values, p_values, pbar_abn_values
 from bgrank.turan import (
     _distinct_real_roots,
+    _exact_sign,
+    _float_signs,
+    _floats,
     _hermite_probes,
     _signs_alternate,
     hermite,
@@ -366,6 +370,13 @@ def test_hyperbolicity_onset_windows(p2_seq):
 def test_hyperbolicity_onset_window_validation(p2_seq):
     # an empty window has no onset
     assert hyperbolicity_onset(p2_seq, 2, -1) is None
+    # a sequence too short for J^{d,hi}, or a degree below 1, is refused
+    # before any shift is settled
+    for d in (1, 3):
+        with pytest.raises(ValueError, match=rf"sequence must be defined on \[8, {8 + d}\]"):
+            hyperbolicity_onset(p2_seq[: 8 + d], d, 8)
+    with pytest.raises(ValueError, match="d must be >= 1"):
+        hyperbolicity_onset(p2_seq, 0, 8)
 
 
 def _sturm_onset(seq, d, hi):
@@ -449,6 +460,165 @@ def test_certificate_never_accepts_a_non_hyperbolic_polynomial(coeffs, alpha):
         assert is_hyperbolic(coeffs)
 
 
+def _signs_alternate_exact(coeffs, alpha, probes):
+    """_signs_alternate with every sign by exact integer Horner: the oracle."""
+    p = [operator.index(c) for c in coeffs]
+    a0, a1, a2 = alpha
+    if a0 <= 0 or a1 <= 0 or a2 <= 0:
+        return False
+    try:
+        l1, l2 = math.log(a1 / a0), math.log(a2 / a0)
+        d2 = l1 - l2 / 2
+        if not d2 > 0:
+            return False
+        delta, scale = math.sqrt(d2), math.exp(-(l1 + d2))
+        xs = [(delta * eta - 1) * scale for eta in probes]
+    except (OverflowError, ValueError):
+        return False
+    ascending = all(u < v for u, v in zip(xs, xs[1:]))
+    if len(xs) != len(p) or not ascending or not all(map(math.isfinite, xs)):
+        return False
+    last = 0
+    for x in xs:
+        num, den = x.as_integer_ratio()
+        acc, power = p[-1], 1
+        for c in reversed(p[:-1]):
+            power *= den
+            acc = acc * num + c * power
+        sign = (acc > 0) - (acc < 0)
+        if sign in (0, last):
+            return False
+        last = sign
+    return True
+
+
+@given(perturbed_jensen)
+@settings(max_examples=300, deadline=None)
+def test_certificate_equals_the_exact_only_oracle_on_perturbations(case):
+    (d, m, s), moves = case
+    seq = p2_values(420)
+    coeffs = [c + c * t // 10**s for c, t in zip(jensen_poly(seq, d, m), moves)]
+    probes = _hermite_probes(d)
+    assert _signs_alternate(coeffs, seq[m : m + 3], probes) == _signs_alternate_exact(coeffs, seq[m : m + 3], probes)
+
+
+@given(
+    st.integers(2, 6).flatmap(lambda d: st.lists(st.integers(-(10**6), 10**6), min_size=d + 1, max_size=d + 1)),
+    st.lists(st.integers(-5, 10**6), min_size=3, max_size=3),
+)
+@settings(max_examples=300, deadline=None)
+def test_certificate_equals_the_exact_only_oracle_on_any_polynomial(coeffs, alpha):
+    probes = _hermite_probes(len(coeffs) - 1)
+    assert _signs_alternate(coeffs, alpha, probes) == _signs_alternate_exact(coeffs, alpha, probes)
+
+
+def _sign_at(coeffs, x):
+    value = sum(c * Fraction(x) ** k for k, c in enumerate(coeffs))
+    return (value > 0) - (value < 0)
+
+
+# dyadic points, a few of them tiny enough for the filter's underflow rule
+dyadic = st.builds(
+    lambda n, k: n / 2**k, st.integers(-(2**30), 2**30), st.one_of(st.integers(0, 40), st.integers(40, 1080))
+)
+big_coefficient = st.one_of(st.integers(-(10**60), 10**60), st.integers(-(10**6), 10**6))
+
+
+@given(
+    st.integers(2, 12).flatmap(lambda d: st.lists(big_coefficient, min_size=d + 1, max_size=d + 1)),
+    st.lists(dyadic, min_size=1, max_size=13),
+    st.sampled_from([None, 10**400, -(10**309)]),
+    st.integers(0, 12),
+)
+@settings(max_examples=400, deadline=None)
+def test_float_filter_settles_only_exact_signs(coeffs, xs, huge, at):
+    if huge is not None:  # a coefficient past the float range: every point defers
+        coeffs[at % len(coeffs)] = huge
+        assert _float_signs(_floats(coeffs), xs) == [0] * len(xs)
+        return
+    for x, sign in zip(xs, _float_signs(_floats(coeffs), xs), strict=True):
+        assert sign == 0 or sign == _sign_at(coeffs, x) == _exact_sign(coeffs, x)
+
+
+@given(
+    st.integers(0, 9).flatmap(lambda d: st.lists(big_coefficient, min_size=d + 1, max_size=d + 1)),
+    st.integers(1, 3),
+    st.integers(-(2**40), 2**40),
+    st.integers(0, 60),
+    st.lists(st.integers(-64, 64), max_size=6),
+)
+@settings(max_examples=300, deadline=None)
+def test_float_filter_defers_at_an_exact_dyadic_root(cofactor, power, num, k, ulps):
+    # (2^k X - num)^power q(X) vanishes exactly at x = num / 2^k; the points a
+    # few ulps away are where float Horner loses the most digits, and x / 256
+    # keeps the bound's X = max |x_i| apart from min |x_i|
+    x = num / 2**k
+    assert Fraction(x) == Fraction(num, 2**k)
+    coeffs = cofactor
+    for _ in range(power):
+        coeffs = [a * 2**k - num * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
+    if not any(coeffs) or len(coeffs) < 3:
+        return
+    points = sorted({x, x / 256, *(x + u * math.ulp(x) for u in ulps)})
+    signs = _float_signs(_floats(coeffs), points)
+    assert signs[points.index(x)] == 0
+    assert _exact_sign(coeffs, x) == _sign_at(coeffs, x) == 0
+    for y, sign in zip(points, signs):
+        assert sign == 0 or sign == _sign_at(coeffs, y)
+
+
+def test_float_signs_agree_with_exact_on_jensen_polynomials():
+    settled = 0
+    for seq in (p2_values(1020), p_values(1020)):
+        for d in range(2, 15):
+            probes = _hermite_probes(d)
+            for m in range(30, 1000, 7):  # both log-concave from m = 26
+                a0, a1, a2 = seq[m : m + 3]
+                l1, l2 = math.log(a1 / a0), math.log(a2 / a0)
+                d2 = l1 - l2 / 2
+                delta, scale = math.sqrt(d2), math.exp(-(l1 + d2))
+                xs = [(delta * eta - 1) * scale for eta in probes]
+                p = jensen_poly(seq, d, m)
+                for x, sign in zip(xs, _float_signs(_floats(p), xs)):
+                    if sign:
+                        settled += 1
+                        assert sign == _exact_sign(p, x)
+    assert settled > 15000
+
+
+def _route_spies(monkeypatch):
+    """Counts of float filter runs, of the signs they settle, and of exact
+    integer evaluations."""
+    counts = {"filters": 0, "float": 0, "exact": 0}
+
+    def float_spy(fcs, xs):
+        signs = _float_signs(fcs, xs)
+        counts["filters"] += 1
+        counts["float"] += sum(map(bool, signs))
+        return signs
+
+    def exact_spy(p, x):
+        counts["exact"] += 1
+        return _exact_sign(p, x)
+
+    monkeypatch.setattr(turan, "_float_signs", float_spy)
+    monkeypatch.setattr(turan, "_exact_sign", exact_spy)
+    return counts
+
+
+def test_onset_routes_signs_by_the_bound_and_the_gate(p2_seq, monkeypatch):
+    counts = _route_spies(monkeypatch)
+    # certify's scale: float64 settles every sign of every shift scanned
+    assert [hyperbolicity_onset(p2_seq, d, 500) for d in range(2, 7)] == [5, 24, 61, 121, 202]
+    assert counts["exact"] == 0 and counts["float"] > 4 * counts["filters"] > 0
+    # d = 8 over m <= 1200: delta is at or below the gate at every shift, so
+    # no filter runs, and each of the 734 shifts certified of the 761 scanned
+    # takes 9 exact signs
+    counts.update(filters=0, float=0, exact=0)
+    assert hyperbolicity_onset(p2_values(1210), 8, 1200) == 441
+    assert counts["filters"] == 0 and counts["exact"] >= 9 * 734
+
+
 def test_onset_of_non_integer_sequences_raises_type_error(p2_seq):
     for seq in ([Fraction(v, 2) for v in p2_seq[:40]], [float(v) for v in p2_seq[:40]]):
         with pytest.raises(TypeError):
@@ -466,6 +636,7 @@ def test_onset_of_non_positive_or_wild_sequences_is_sturms(p2_seq):
         [10 ** (400 * m) for m in range(12)],  # ratios beyond float64
         [10 ** (400 * (m % 2)) for m in range(12)],
         [1] * 12,  # delta^2 = 0
+        [v * 10**400 for v in p2_seq[:12]],  # entries beyond float64, ratios within
     ]
     for seq in seqs:
         for d in (2, 3, 4):
