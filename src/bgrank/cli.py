@@ -52,9 +52,9 @@ from .series import (
 from .turan import (
     hermite,
     hermite_distance,
-    hyperbolicity_onset,
     is_hyperbolic,
     jensen_poly,
+    onset_atlas,
     renorm_sequences_step2,
     renormalized_jensen,
     turan_report,
@@ -63,14 +63,13 @@ from .turan import (
 CACHE_ENV = "BGRANK_CACHE_DIR"
 
 # a Sturm certificate's cost climbs steeply with the degree.  Onset over
-# d = 2..24 at the default --hi 500 takes about 0.135 s on a Xeon core (0.14 s
-# with every alternation sign exact, 0.21 s with a chain for every shift below
-# an onset): at d <= 8 sign alternation settles all but 60 of the 2352 shifts
-# scanned down from 500, and J^{d,500} is not hyperbolic for d >= 9, so those
-# scans stop at their first chain.  Below the onsets, 702 of the 1162 shifts
-# fail by Rolle from degree d - 1 and take no chain; the other 460 take one
-# apiece.  The scans alone over d = 2..55 take about 4.0 s, float or exact
-# signs alike
+# d = 2..24 at the default --hi 500 takes about 0.13 s on a Xeon core and
+# builds 529 chains: at d <= 8 sign alternation settles all but 60 of the 2352
+# shifts scanned down from 500 to the first failure, and J^{d,500} is not
+# hyperbolic for d >= 9, so those scans stop at their first chain.  Below the
+# onsets, 702 of the 1162 shifts fail by Rolle from degree d - 1 and take no
+# chain; the other 460, the 7 first failures among them, take one apiece.  The
+# scans down to the first failure over d = 2..55 take about 4.0 s
 ONSET_MAX_DEGREE = 24
 
 # h_congruence_numeric does O(b^2) work per sample point: the arc check takes
@@ -81,18 +80,13 @@ ARCS_MAX_B = 300
 # 240 MiB (CSV) and 300 MiB (JSON) on an x86-64 Linux host, linear in b
 EQUIDIST_MAX_B = 10**6
 
-# jensen, turan and onset read alpha(m) = p2(m) from one table built up to the
-# largest m they need, refused above the cap before any of it is built: p2 to
-# m = 10**5 takes about 3.8 s and peaks at 46 MiB on a Xeon core, and 2*10**5
-# takes 19.6 s
-ALPHA_MAX_M = 10**5
-
 # table builds a stat up to --n-max, refused above the stat's cap before the
 # cache is read: p to 10**5 takes about 2.4 s and 28 MiB on a Xeon core, p2 to
 # 10**5 3.8-4.9 s and 46 MiB (2*10**5 takes 19.6 s), pbar reads p2 to about
 # n_max/2, and pbar-ab holds (min(b//2, nq) + 1)(nq + 1) residue entries,
-# nq = n_max/2: 148 MiB and about 1 s at b = n_max = 4000
-TABLE_MAX_N = {"p": 10**5, "p2": ALPHA_MAX_M, "pbar": 2 * ALPHA_MAX_M, "pbar-ab": 4000}
+# nq = n_max/2: 148 MiB and about 1 s at b = n_max = 4000.  jensen, turan and
+# onset read alpha(m) = p2(m) from one table under p2's cap
+TABLE_MAX_N = {"p": 10**5, "p2": 10**5, "pbar": 2 * 10**5, "pbar-ab": 4000}
 
 CANDIDATE_DIRECT = 6.0**-0.75
 CANDIDATE_PRINTED = math.sqrt(2.0) * 6.0**-0.75
@@ -117,9 +111,9 @@ def _resolve_cache_dir(args) -> Path | None:
 
 def _alpha_through(m: int, command: str) -> list[int]:
     """alpha(0..m) for ``command`` (just alpha(0) for m < 0), refused with a
-    ValueError above ALPHA_MAX_M before it is built."""
-    if m > ALPHA_MAX_M:
-        raise ValueError(f"{command} reads alpha(m) up to m = {m}, above the cap of {ALPHA_MAX_M}")
+    ValueError above p2's table cap before it is built."""
+    if m > TABLE_MAX_N["p2"]:
+        raise ValueError(f"{command} reads alpha(m) up to m = {m}, above the cap of {TABLE_MAX_N['p2']}")
     return p2_values(max(0, m))
 
 
@@ -305,19 +299,7 @@ def cmd_onset(args) -> RunReport:
     max_d, hi = args.max_degree, args.hi
     if not 2 <= max_d <= ONSET_MAX_DEGREE or hi < 0:
         raise ValueError(f"onset needs 2 <= --max-degree <= {ONSET_MAX_DEGREE} and --hi >= 0")
-    seq = _alpha_through(hi + max_d, "onset")
-    rows = []
-    below: list[int] | None = None
-    for d in range(2, max_d + 1):
-        m0 = hyperbolicity_onset(seq, d, hi)
-        # d/dX J^{d,m} = d J^{d-1,m+1}, and a hyperbolic polynomial has a
-        # hyperbolic derivative (Rolle): a failure of degree d - 1 at m + 1 is
-        # one of degree d at m, settled with no chain
-        inherited = set(below or ())
-        below = None if m0 is None else [
-            m for m in range(m0) if m + 1 in inherited or not is_hyperbolic(jensen_poly(seq, d, m))
-        ]
-        rows.append((d, m0, below))
+    rows = onset_atlas(_alpha_through(hi + max_d, "onset"), max_d, hi)
     report = RunReport(
         command="onset",
         params={"max_degree": max_d, "hi": hi},
@@ -583,7 +565,7 @@ def _parser() -> argparse.ArgumentParser:
     out.add_argument("--out", default=None)
 
     sp = sub.add_parser("table", help="exact counting tables", parents=[out])
-    sp.add_argument("--stat", choices=("p", "p2", "pbar", "pbar-ab"), required=True)
+    sp.add_argument("--stat", choices=tuple(_STATS), required=True)
     sp.add_argument("--j", type=int, default=None)
     sp.add_argument("--a", type=int, default=None)
     sp.add_argument("--b", type=int, default=None)

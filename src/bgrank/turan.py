@@ -16,20 +16,16 @@ is a primitive pseudo-remainder sequence, each member a positive multiple of
 the classical one over the rationals, and its last member is g = gcd(p, p').
 p has deg p - deg g distinct complex roots, so one chain certifies
 hyperbolicity: p is hyperbolic iff the chain counts that many distinct real
-roots.  An onset scan first tries a cheaper exact certificate: if the signs
-of p strictly alternate at d + 1 increasing points, placed where the Hermite
-limit puts the roots, p has d distinct real roots.  Each sign is p's own:
-float64 Horner settles it only past a rigorous error bound, and exact
-integer Horner at the same dyadic point settles the rest.  A chain is built
-only where the certificate fails.  The renormalized-limit comparisons are
-floating point.
+roots.  Onset scans (``_failures``) first try a cheaper exact certificate,
+``_signs_alternate``, and build a chain only where it fails.  The
+renormalized-limit comparisons are floating point.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +125,12 @@ def jensen_poly(seq: Sequence[int], d: int, n: int) -> tuple[int, ...]:
 
 def is_hyperbolic(coeffs: Sequence) -> bool:
     """True iff every root is real (counted with multiplicity); exact, from
-    one Sturm chain, whose first and last members are p and gcd(p, p')."""
-    chain = sturm_chain(coeffs)
-    return _distinct_real_roots(chain) == len(chain[0]) - len(chain[-1])
+    one Sturm chain, whose first and last members are p and gcd(p, p').  The
+    zero polynomial counts as hyperbolic (Borcea-Branden), which keeps
+    hyperbolicity closed under d/dX, and takes no chain."""
+    p = tuple(map(operator.index, coeffs))  # TypeError off the integers, as in sturm_chain
+    chain = any(p) and sturm_chain(p)
+    return not chain or _distinct_real_roots(chain) == len(chain[0]) - len(chain[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +166,7 @@ def renormalized_jensen(seq: Sequence[int], d: int, n: int, rs: tuple[float, flo
     naming d and n is raised when it leaves the float64 range.
     """
     coeffs = jensen_poly(seq, d, n)
-    window = seq[n : n + d + 1]
-    if any(v <= 0 for v in window):
+    if any(v <= 0 for v in seq[n : n + d + 1]):
         raise ValueError("sequence must be positive on [n, n+d]")
     alpha0 = seq[n]
     a, delta = rs
@@ -421,8 +419,7 @@ def _alternates(alpha: Sequence[int], probes: Sequence[float], gate: float, floa
     if not all(map(operator.lt, xs, xs[1:])) or not all(map(math.isfinite, xs)):
         return False
     signs = _float_signs(floats(), xs) if delta > gate else [0] * len(xs)
-    p = None
-    last = 0
+    p, last = None, 0
     for x, sign in zip(xs, signs):
         if not sign:
             if p is None:
@@ -442,47 +439,37 @@ def _signs_alternate(coeffs: Sequence, alpha: Sequence[int], probes: Sequence[fl
     ``alpha`` holds the sequence at n, n + 1, n + 2; the recentring pair is
     read off it, delta^2 = l1 - l2/2 and A = l1 + delta^2 with
     l_k = log(alpha(n + k)/alpha(n)), and each probe eta of the Hermite limit
-    maps to the float x = (delta eta - 1)/e^A, a dyadic rational.  A sign of
-    p(x) is settled in float64 only where Horner's value exceeds
-    (4d + 10) 2^-53 S^, S^ the float Horner value of sum |c_k| max|x_i|^k;
-    ``_float_signs`` proves that bound and defers every point unless S^ is
-    finite and min(1, min |x_i|)^d > 2^-900 (no overflow, no underflow).
-    Every other sign comes from exact integer Horner at the same x, so each
-    sign is p's own.  No float is tried where delta <= ``_float_gate``.
-    These leave the polynomial unsettled: a probe count other than d + 1, an
-    entry of ``alpha`` that is not positive, ratios beyond the float range,
-    and a point that is not finite or not above its predecessor.
+    maps to the float x = (delta eta - 1)/e^A, a dyadic rational.  A Jensen
+    polynomial recentred so tends to a multiple of H_d
+    (Griffin-Ono-Rolen-Zagier), so near the limit these points separate its
+    roots.  Signs that alternate at d + 1 increasing points give d sign
+    changes, hence d distinct real roots by the intermediate value theorem.
+    Each sign is p's own: ``_float_signs`` settles it where its bound allows
+    (tried only past ``_float_gate``), ``_exact_sign`` at the same x
+    otherwise.  These leave the polynomial unsettled: a probe count other
+    than d + 1, an entry of ``alpha`` that is not positive, ratios beyond the
+    float range, and a point that is not finite or not above its predecessor.
     """
     p = [operator.index(c) for c in coeffs]  # TypeError off the integers, as in sturm_chain
-    if len(probes) != len(p):
-        return False
-    return _alternates(alpha, probes, _float_gate(probes), lambda: _floats(p), lambda: p)
+    return len(probes) == len(p) and _alternates(alpha, probes, _float_gate(probes), lambda: _floats(p), lambda: p)
 
 
-def hyperbolicity_onset(seq: Sequence[int], d: int, hi: int) -> int | None:
-    """Smallest m0 >= 0 with J^{d,m} hyperbolic for every m in [m0, hi]; None
-    if even m = hi fails or hi < 0.  Scanned down from hi to the first
-    failure, each shift settled exactly; seq[0..hi + d] must be integers.
+def _failures(seq: Sequence[int], d: int, hi: int, inherited: frozenset[int]) -> Iterator[int]:
+    """Every m with J^{d,m} not hyperbolic, from hi down to 0, or just hi
+    when it fails, as it leaves no onset (none for hi < 0); seq[0..hi + d]
+    must be integers.
 
-    For d >= 2 a shift first tries the sign-alternation certificate: after
-    recentring, J^{d,m}((delta X - 1)/e^A) tends to a multiple of H_d(X)
-    (Griffin-Ono-Rolen-Zagier), so points between the mapped zeros of H_d
-    separate the roots of J.  Signs that alternate at d + 1 increasing
-    points give d sign changes, hence d distinct real roots by the
-    intermediate value theorem, and a degree-d polynomial has no more: it is
-    hyperbolic.  Each sign is J's own (``_signs_alternate``): float64 Horner
-    settles it only past the bound (4d + 10) 2^-53 S^, with S^ finite and no
-    underflow, from floats of alpha taken once per scan and binomials once
-    per degree, and exact integer Horner at the same dyadic point settles
-    the rest.  No float is tried where delta <= ``_float_gate`` (delta^d
-    below about 2^-48 at d <= 6, 2^-50 at d = 8), and the integer
-    coefficients are built only when a point or a chain needs them.  The
-    certificate never rejects, so a shift it leaves unsettled, including
-    every non-hyperbolic one, gets the exact Sturm verdict of
-    ``is_hyperbolic``; the onset is the Sturm-only scan's.
+    ``inherited`` holds failures of degree d - 1: d/dX J^{d,m} = d J^{d-1,m+1},
+    and a hyperbolic polynomial has a hyperbolic derivative (Rolle, the zero
+    polynomial counted hyperbolic), so m + 1 in it makes m a failure with no
+    check.  Down to the first failure, a shift of degree d >= 2 then tries
+    the certificate of ``_signs_alternate``, which never rejects; every
+    shift left unsettled gets the exact Sturm verdict of ``is_hyperbolic``.
+    Below the first failure a shift goes straight to its chain: there the
+    certificate saves few chains and costs more time than they take.
     """
     if hi < 0:
-        return None
+        return
     jensen_poly(seq, d, hi)  # jensen_poly's ValueError for a bad d or a short seq
     binoms = [math.comb(d, k) for k in range(d + 1)]
     if d >= 2:
@@ -490,15 +477,46 @@ def hyperbolicity_onset(seq: Sequence[int], d: int, hi: int) -> int | None:
         gate = _float_gate(probes)
         fbinoms = list(map(float, binoms))
         fseq = _floats(seq[: hi + d + 1])
-    for m in range(hi, -1, -1):
-        # both builders run, if at all, before m moves on
-        def jensen() -> tuple[int, ...]:
-            return tuple(map(operator.mul, binoms, seq[m : m + d + 1]))
 
-        if d >= 2 and _alternates(
-            seq[m : m + 3], probes, gate, lambda: list(map(operator.mul, fbinoms, fseq[m : m + d + 1])), jensen
+    # J^{d,m} and its floats at the m being settled: each reads m when called
+    def jensen() -> tuple[int, ...]:
+        return tuple(map(operator.mul, binoms, seq[m : m + d + 1]))
+
+    def floats() -> list[float]:
+        return list(map(operator.mul, fbinoms, fseq[m : m + d + 1]))
+
+    certify = d >= 2
+    for m in range(hi, -1, -1):
+        if m + 1 in inherited or not (
+            certify and _alternates(seq[m : m + 3], probes, gate, floats, jensen) or is_hyperbolic(jensen())
         ):
-            continue
-        if not is_hyperbolic(jensen()):
-            return None if m == hi else m + 1
-    return 0
+            yield m
+            if m == hi:
+                return
+            certify = False
+
+
+def hyperbolicity_onset(seq: Sequence[int], d: int, hi: int) -> int | None:
+    """Smallest m0 >= 0 with J^{d,m} hyperbolic for every m in [m0, hi]; None
+    if even m = hi fails or hi < 0: one more than the first failure of
+    ``_failures``, so each shift is settled exactly, by the certificate
+    where it succeeds and by a Sturm chain otherwise, and the onset is the
+    Sturm-only scan's.
+    """
+    m0 = next(_failures(seq, d, hi, frozenset()), -1) + 1
+    return None if m0 > hi else m0
+
+
+def onset_atlas(seq: Sequence[int], max_d: int, hi: int) -> list[tuple[int, int | None, list[int] | None]]:
+    """Rows (d, onset, failures_below) for d = 2..max_d: the onset is
+    ``hyperbolicity_onset(seq, d, hi)``, and failures_below lists, ascending,
+    every m below it with J^{d,m} not hyperbolic (None with a None onset).
+    Each degree is one ``_failures`` scan that inherits degree d - 1's
+    failures by Rolle.
+    """
+    rows, failures = [], []
+    for d in range(2, max_d + 1):
+        failures = list(_failures(seq, d, hi, frozenset(failures)))
+        m0 = failures[0] + 1 if failures else 0
+        rows.append((d, m0, failures[::-1]) if m0 <= hi else (d, None, None))
+    return rows

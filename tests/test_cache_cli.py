@@ -865,19 +865,6 @@ def test_cli_onset_rows_match_the_sturm_only_rows_on_any_positive_sequence(seq):
     assert rows == _onset_rows_oracle(seq, 5, 10)
 
 
-def test_cli_onset_inherits_failures_below_by_rolle(monkeypatch, capsys):
-    seq = p2_values(524)
-    chains, build = [], turan.sturm_chain
-    monkeypatch.setattr(turan, "sturm_chain", lambda coeffs: chains.append(coeffs) or build(coeffs))
-    for d in range(2, 25):
-        turan.hyperbolicity_onset(seq, d, 500)
-    onset_chains = len(chains)
-    chains.clear()
-    assert main(["--no-cache", "onset", "--max-degree", "24", "--hi", "500"]) == 1
-    # 702 of the 1162 shifts below the onsets fail at d - 1 and m + 1
-    assert len(chains) - onset_chains <= 460
-
-
 @pytest.mark.parametrize(
     "selectors",
     [

@@ -116,6 +116,24 @@ def test_each_table_request_rule_is_raised_in_one_place():
     assert raised == {message: ["series.py:check_table_request"] for message in raised}
 
 
+def test_onset_verdicts_are_reached_in_turan_alone():
+    # cmd_onset reads its rows from turan.onset_atlas and formats them: a
+    # verdict rule of its own (a second scan, an inheritance) could drift
+    # from the atlas, which the library's callers read too
+    (onset,) = [
+        node
+        for node in ast.parse((PACKAGE / "cli.py").read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name == "cmd_onset"
+    ]
+    called = {
+        getattr(node.func, "id", getattr(node.func, "attr", None))
+        for node in ast.walk(onset)
+        if isinstance(node, ast.Call)
+    }
+    assert "onset_atlas" in called
+    assert not called & {"is_hyperbolic", "jensen_poly", "hyperbolicity_onset"}
+
+
 def _places_beads(node) -> bool:
     """Bead b put onto runner b % t at height b // t: an append to a list
     indexed by a remainder or of a quotient, a comprehension of quotients

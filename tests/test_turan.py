@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bgrank import turan
-from bgrank.series import p2_values, p_values, pbar_abn_values
+from bgrank.series import p2_values, p_values, pbar_abn_table, pbar_abn_values
 from bgrank.turan import (
     _distinct_real_roots,
     _exact_sign,
@@ -23,6 +23,7 @@ from bgrank.turan import (
     hyperbolicity_onset,
     is_hyperbolic,
     jensen_poly,
+    onset_atlas,
     renorm_sequences_step2,
     renormalized_jensen,
     sturm_chain,
@@ -82,6 +83,18 @@ def test_is_hyperbolic_examples(p2_seq):
     assert is_hyperbolic([6, 5, 1])  # (X+2)(X+3)
     assert is_hyperbolic([0, 0, 0, 1])  # X^3, triple root at 0
     assert not is_hyperbolic([1, 1, 1, 1, 0, 1])
+
+
+def test_zero_polynomial_is_hyperbolic_without_a_chain(monkeypatch):
+    # real-rooted by convention (Borcea-Branden), so the zero derivative of a
+    # constant keeps Rolle's inheritance sound; sturm_chain still refuses it
+    chains = _chain_spy(monkeypatch)
+    assert is_hyperbolic([0, 0, 0]) and is_hyperbolic([0]) and is_hyperbolic([])
+    assert chains == []
+    with pytest.raises(ValueError, match="zero polynomial has no Sturm chain"):
+        sturm_chain([0, 0, 0])
+    with pytest.raises(TypeError):
+        is_hyperbolic([0.0, 0.0])
 
 
 def _chain_spy(monkeypatch):
@@ -397,6 +410,16 @@ def test_onset_equals_sturm_only_scan(p2_seq):
         assert hyperbolicity_onset(class_seq, d, 240) == _sturm_onset(class_seq, d, 240)
 
 
+def test_onset_of_a_sequence_with_an_all_zero_window():
+    # alpha = p̄_0(3, 7; 2m) starts 0, 0, 0, 1, 2, 4, 8, 14, so J^{d,0} is
+    # the zero polynomial for d <= 2 and J^{d,m} has zero coefficients near 0
+    alpha = pbar_abn_table(0, 3, 7, 3012)[0::2]
+    assert alpha[:8] == [0, 0, 0, 1, 2, 4, 8, 14]
+    for d in range(2, 7):
+        assert hyperbolicity_onset(alpha, d, 1500) == _sturm_onset(alpha, d, 1500)
+    assert onset_atlas(alpha, 6, 1500) == _atlas_oracle(alpha, 6, 1500)
+
+
 def test_onset_builds_few_chains(p2_seq, monkeypatch):
     chains = _chain_spy(monkeypatch)
     assert hyperbolicity_onset(p2_seq, 6, 500) == 202
@@ -410,6 +433,55 @@ def test_degree1_onset_is_sturm_only(p2_seq, monkeypatch):
     chains = _chain_spy(monkeypatch)
     assert [hyperbolicity_onset(p2_seq, 1, hi) for hi in range(41)] == want
     assert len(chains) == sum(hi + 1 for hi in range(41))  # one chain per shift
+
+
+def _atlas_oracle(seq, max_d, hi):
+    """onset_atlas with one Sturm chain per shift and no inheritance: the
+    reference."""
+    rows = []
+    for d in range(2, max_d + 1):
+        m0 = _sturm_onset(seq, d, hi)
+        below = None if m0 is None else [m for m in range(m0) if not is_hyperbolic(jensen_poly(seq, d, m))]
+        rows.append((d, m0, below))
+    return rows
+
+
+def test_onset_atlas_equals_the_sturm_only_rows(p2_seq):
+    p2 = p2_values(524)
+    assert onset_atlas(p2, 24, 500) == _atlas_oracle(p2, 24, 500)
+    p = p_values(420)
+    assert onset_atlas(p, 8, 400) == _atlas_oracle(p, 8, 400)
+    # rows with a None onset, and an empty window
+    assert onset_atlas(p2_seq, 6, 100) == _atlas_oracle(p2_seq, 6, 100)
+    assert onset_atlas(p2_seq, 4, -1) == [(d, None, None) for d in (2, 3, 4)]
+
+
+@given(st.lists(st.integers(1, 60), min_size=16, max_size=16))
+@settings(max_examples=300, deadline=None)
+def test_onset_atlas_equals_the_sturm_only_rows_on_positive_sequences(seq):
+    # the inheritance must hold for any sequence: on p2 an unsound one, a
+    # failure at (d - 1, m - 1) taken as one at (d, m), gives the same rows
+    assert onset_atlas(seq, 5, 10) == _atlas_oracle(seq, 5, 10)
+
+
+@given(st.lists(st.one_of(st.just(0), st.integers(0, 60)), min_size=16, max_size=16))
+@settings(max_examples=300, deadline=None)
+def test_onset_atlas_equals_the_sturm_only_rows_on_sequences_with_zeros(seq):
+    # zero windows make zero Jensen polynomials, and runs of zeros make
+    # constants whose derivative is zero
+    assert onset_atlas(seq, 5, 10) == _atlas_oracle(seq, 5, 10)
+
+
+def test_onset_atlas_inherits_failures_below_by_rolle(monkeypatch):
+    seq = p2_values(524)
+    chains = _chain_spy(monkeypatch)
+    rows = onset_atlas(seq, 24, 500)
+    below = {jensen_poly(seq, d, m) for d, m0, _ in rows if m0 is not None for m in range(m0)}
+    # 702 of the 1162 shifts below the onsets fail at d - 1 and m + 1 and
+    # take no chain; 536 chains in all is what checking each of the 7 first
+    # failures twice would build
+    assert sum(c in below for c in chains) <= 460
+    assert len(chains) <= 536
 
 
 def test_hermite_probes_separate_the_zeros():
