@@ -63,13 +63,15 @@ from .turan import (
 CACHE_ENV = "BGRANK_CACHE_DIR"
 
 # a Sturm certificate's cost climbs steeply with the degree.  Onset over
-# d = 2..24 at the default --hi 500 takes about 0.13 s on a Xeon core and
-# builds 529 chains: at d <= 8 sign alternation settles all but 60 of the 2352
+# d = 2..24 at the default --hi 500 takes about 0.12 s on a Xeon core and
+# builds 500 chains: d = 2 and 3 are settled by the Turan inequalities with
+# no chain, at d = 4..8 sign alternation settles all but 57 of the 1377
 # shifts scanned down from 500 to the first failure, and J^{d,500} is not
 # hyperbolic for d >= 9, so those scans stop at their first chain.  Below the
 # onsets, 702 of the 1162 shifts fail by Rolle from degree d - 1 and take no
-# chain; the other 460, the 7 first failures among them, take one apiece.  The
-# scans down to the first failure over d = 2..55 take about 4.0 s
+# chain; of the other 460, the 28 at d = 2, 3 take none and the 432 at d >= 4,
+# the 5 first failures among them, one apiece.  The scans down to the first
+# failure over d = 2..55 take about 4.0 s
 ONSET_MAX_DEGREE = 24
 
 # h_congruence_numeric does O(b^2) work per sample point: the arc check takes

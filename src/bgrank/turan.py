@@ -16,7 +16,9 @@ is a primitive pseudo-remainder sequence, each member a positive multiple of
 the classical one over the rationals, and its last member is g = gcd(p, p').
 p has deg p - deg g distinct complex roots, so one chain certifies
 hyperbolicity: p is hyperbolic iff the chain counts that many distinct real
-roots.  Onset scans (``_failures``) first try a cheaper exact certificate,
+roots.  Onset scans (``_failures``) settle degrees 2 and 3 by the exact
+order-2 and order-3 inequalities (``_turan_scan``, which ``turan_report``
+reads too); at higher degree they first try a cheaper exact certificate,
 ``_signs_alternate``, and build a chain only where it fails.  The
 renormalized-limit comparisons are floating point.
 """
@@ -220,6 +222,41 @@ class TuranReport(NamedTuple):
     equalities: tuple
 
 
+def _turan_scan(seq: Sequence[int], order: int, ms: range) -> tuple[list[int], list[int]]:
+    """The failures and the equalities, in the order of ``ms``, of the
+    order-2 or order-3 inequality of ``turan_report`` at each m of ``ms``.
+
+    Up to a positive factor these are the discriminants of J^{2,m-1} and
+    J^{3,m}: 4 (alpha(m)^2 - alpha(m-1) alpha(m+1)) for the quadratic and 27
+    times the order-3 gap for the cubic.  So on integers the inequality at m
+    holds iff J^{2,m-1}, resp. J^{3,m}, is hyperbolic, also where the leading
+    coefficient vanishes.  J^{2,m-1} is then at most linear, so hyperbolic,
+    and the order-2 gap is alpha(m)^2 >= 0.  J^{3,m} is then at most
+    quadratic, and the order-3 gap is alpha(m+2)^2 times its discriminant
+    over 3, or 0 where it is at most linear.
+    """
+    failures: list[int] = []
+    equalities: list[int] = []
+    if order == 2:
+        for m in ms:
+            lhs = seq[m] * seq[m]
+            rhs = seq[m - 1] * seq[m + 1]
+            if lhs < rhs:
+                failures.append(m)
+            elif lhs == rhs:
+                equalities.append(m)
+    else:
+        for m in ms:
+            a0, a1, a2, a3 = seq[m], seq[m + 1], seq[m + 2], seq[m + 3]
+            lhs = 4 * (a1 * a1 - a0 * a2) * (a2 * a2 - a1 * a3)
+            rhs = (a1 * a2 - a0 * a3) ** 2
+            if lhs < rhs:
+                failures.append(m)
+            elif lhs == rhs:
+                equalities.append(m)
+    return failures, equalities
+
+
 def turan_report(seq: Sequence[int], order: str, index_range: tuple[int, int]) -> TuranReport:
     """Scan the order-2 or order-3 inequality, or pairwise superadditivity.
 
@@ -245,31 +282,20 @@ def turan_report(seq: Sequence[int], order: str, index_range: tuple[int, int]) -
     if order == "2":
         if lo < 1 or hi + 1 >= len(seq):
             raise ValueError("order-2 scan needs indices [lo-1, hi+1] inside the sequence")
-        for m in range(lo, hi + 1):
-            lhs = seq[m] * seq[m]
-            rhs = seq[m - 1] * seq[m + 1]
-            if lhs < rhs:
-                failures.append(m)
-            elif lhs == rhs:
-                equalities.append(m)
+        failures, equalities = _turan_scan(seq, 2, range(lo, hi + 1))
     elif order == "3":
         if lo < 0 or hi + 3 >= len(seq):
             raise ValueError("order-3 scan needs indices [lo, hi+3] inside the sequence")
-        for m in range(lo, hi + 1):
-            a0, a1, a2, a3 = seq[m], seq[m + 1], seq[m + 2], seq[m + 3]
-            lhs = 4 * (a1 * a1 - a0 * a2) * (a2 * a2 - a1 * a3)
-            rhs = (a1 * a2 - a0 * a3) ** 2
-            if lhs < rhs:
-                failures.append(m)
-            elif lhs == rhs:
-                equalities.append(m)
+        failures, equalities = _turan_scan(seq, 3, range(lo, hi + 1))
     elif order == "convexity":
         if lo < 0 or 2 * hi >= len(seq):
             raise ValueError("convexity scan needs indices up to 2*hi inside the sequence")
-        # least t with seq > 0 on [t - 1, 2 hi] and order 2 at every m in [t, 2 hi - 1]
-        t = 2 * hi + 2
-        while t > 1 and seq[t - 2] > 0 and (t > 2 * hi or seq[t - 1] * seq[t - 1] >= seq[t - 2] * seq[t]):
-            t -= 1
+        # least t with seq > 0 on [t - 1, 2 hi], then raised past the last
+        # order-2 failure in [t, 2 hi - 1]
+        t = next((k + 2 for k in range(2 * hi, -1, -1) if seq[k] <= 0), 1)
+        tail_failures = _turan_scan(seq, 2, range(2 * hi - 1, t - 1, -1))[0]
+        if tail_failures:
+            t = tail_failures[0] + 1
         for n1 in range(lo, hi + 1):
             a = seq[n1]
             for n2 in range(n1, hi + 1):
@@ -462,17 +488,25 @@ def _failures(seq: Sequence[int], d: int, hi: int, inherited: frozenset[int]) ->
     ``inherited`` holds failures of degree d - 1: d/dX J^{d,m} = d J^{d-1,m+1},
     and a hyperbolic polynomial has a hyperbolic derivative (Rolle, the zero
     polynomial counted hyperbolic), so m + 1 in it makes m a failure with no
-    check.  Down to the first failure, a shift of degree d >= 2 then tries
-    the certificate of ``_signs_alternate``, which never rejects; every
-    shift left unsettled gets the exact Sturm verdict of ``is_hyperbolic``.
-    Below the first failure a shift goes straight to its chain: there the
-    certificate saves few chains and costs more time than they take.
+    check.  At d = 2 and 3 every other shift is settled by its exact Turan
+    inequality (``_turan_scan``, order 2 at m + 1 and order 3 at m), with no
+    probe, float or chain.  Down to the first failure, a shift of degree
+    d >= 4 tries the certificate of ``_signs_alternate``, which never
+    rejects; every shift left unsettled gets the exact Sturm verdict of
+    ``is_hyperbolic``.  Below the first failure a shift goes straight to its
+    chain: there the certificate saves few chains and costs more time than
+    they take.
     """
     if hi < 0:
         return
     jensen_poly(seq, d, hi)  # jensen_poly's ValueError for a bad d or a short seq
+    exact = d in (2, 3)
+    if exact:
+        # J^{2,m} is hyperbolic iff order 2 holds at m + 1, J^{3,m} iff order 3 at m
+        window = list(map(operator.index, seq[: hi + d + 1]))  # TypeError off the integers, as in sturm_chain
+        failed = {i + d - 3 for i in _turan_scan(window, d, range(3 - d, hi + 4 - d))[0]}
     binoms = [math.comb(d, k) for k in range(d + 1)]
-    if d >= 2:
+    if d >= 4:
         probes = _hermite_probes(d)
         gate = _float_gate(probes)
         fbinoms = list(map(float, binoms))
@@ -485,10 +519,12 @@ def _failures(seq: Sequence[int], d: int, hi: int, inherited: frozenset[int]) ->
     def floats() -> list[float]:
         return list(map(operator.mul, fbinoms, fseq[m : m + d + 1]))
 
-    certify = d >= 2
+    certify = d >= 4
     for m in range(hi, -1, -1):
-        if m + 1 in inherited or not (
-            certify and _alternates(seq[m : m + 3], probes, gate, floats, jensen) or is_hyperbolic(jensen())
+        if m + 1 in inherited or (
+            m in failed
+            if exact
+            else not (certify and _alternates(seq[m : m + 3], probes, gate, floats, jensen) or is_hyperbolic(jensen()))
         ):
             yield m
             if m == hi:
@@ -499,9 +535,9 @@ def _failures(seq: Sequence[int], d: int, hi: int, inherited: frozenset[int]) ->
 def hyperbolicity_onset(seq: Sequence[int], d: int, hi: int) -> int | None:
     """Smallest m0 >= 0 with J^{d,m} hyperbolic for every m in [m0, hi]; None
     if even m = hi fails or hi < 0: one more than the first failure of
-    ``_failures``, so each shift is settled exactly, by the certificate
-    where it succeeds and by a Sturm chain otherwise, and the onset is the
-    Sturm-only scan's.
+    ``_failures``, so each shift is settled exactly, at d = 2 and 3 by its
+    Turan inequality, at higher d by the certificate where it succeeds and
+    by a Sturm chain otherwise, and the onset is the Sturm-only scan's.
     """
     m0 = next(_failures(seq, d, hi, frozenset()), -1) + 1
     return None if m0 > hi else m0

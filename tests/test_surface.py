@@ -134,6 +134,31 @@ def test_onset_verdicts_are_reached_in_turan_alone():
     assert not called & {"is_hyperbolic", "jensen_poly", "hyperbolicity_onset"}
 
 
+def _squares_a_term(node) -> bool:
+    """x * x or x ** 2 for an entry, a name or an expression x: alpha(m)^2
+    in the order-2 inequality, a_{m+1}^2, a_{m+2}^2 and
+    (a_{m+1} a_{m+2} - a_m a_{m+3})^2 in the order-3 one."""
+    if not isinstance(node, ast.BinOp) or not isinstance(node.left, (ast.Name, ast.Subscript, ast.BinOp)):
+        return False
+    if isinstance(node.op, ast.Mult):
+        return ast.dump(node.left) == ast.dump(node.right)
+    return isinstance(node.op, ast.Pow) and isinstance(node.right, ast.Constant) and node.right.value == 2
+
+
+def test_turan_inequalities_are_computed_in_one_place():
+    # turan_report's order-2, order-3 and convexity scans and the onset
+    # scan's degree-2 and degree-3 verdicts all read turan._turan_scan: a
+    # second copy of either inequality could drift from it
+    squaring = {
+        top.name
+        for top in ast.parse((PACKAGE / "turan.py").read_text()).body
+        if isinstance(top, ast.FunctionDef)
+        for node in ast.walk(top)
+        if _squares_a_term(node)
+    }
+    assert squaring == {"_turan_scan"}
+
+
 def _places_beads(node) -> bool:
     """Bead b put onto runner b % t at height b // t: an append to a list
     indexed by a remainder or of a quotient, a comprehension of quotients

@@ -478,10 +478,10 @@ def test_onset_atlas_inherits_failures_below_by_rolle(monkeypatch):
     rows = onset_atlas(seq, 24, 500)
     below = {jensen_poly(seq, d, m) for d, m0, _ in rows if m0 is not None for m in range(m0)}
     # 702 of the 1162 shifts below the onsets fail at d - 1 and m + 1 and
-    # take no chain; 536 chains in all is what checking each of the 7 first
-    # failures twice would build
-    assert sum(c in below for c in chains) <= 460
-    assert len(chains) <= 536
+    # take no chain, and the Turan inequalities settle d = 2 and 3 with none,
+    # so every chain below the onsets is one of the 432 other shifts at d >= 4
+    assert sum(c in below for c in chains) <= 432
+    assert len(chains) <= 500
 
 
 def test_hermite_probes_separate_the_zeros():
@@ -693,10 +693,60 @@ def test_onset_routes_signs_by_the_bound_and_the_gate(p2_seq, monkeypatch):
 
 def test_onset_of_non_integer_sequences_raises_type_error(p2_seq):
     for seq in ([Fraction(v, 2) for v in p2_seq[:40]], [float(v) for v in p2_seq[:40]]):
+        for d in (2, 3):
+            with pytest.raises(TypeError):
+                hyperbolicity_onset(seq, d, 30)
         with pytest.raises(TypeError):
-            hyperbolicity_onset(seq, 3, 30)
+            onset_atlas(seq, 4, 30)
         with pytest.raises(TypeError):
             _signs_alternate(jensen_poly(seq, 3, 30), seq[30:33], _hermite_probes(3))
+
+
+def test_degree2_and_degree3_onsets_take_no_probe_float_or_chain(p2_seq, monkeypatch):
+    chains = _chain_spy(monkeypatch)
+    counts = _route_spies(monkeypatch)
+    certified, alternates = [], turan._alternates
+    monkeypatch.setattr(turan, "_hermite_probes", lambda d: certified.append(d) or _hermite_probes(d))
+    monkeypatch.setattr(turan, "_alternates", lambda *args: certified.append(args) or alternates(*args))
+    assert [hyperbolicity_onset(p2_seq, d, 500) for d in (2, 3)] == [5, 24]
+    assert chains == [] and certified == []
+    assert counts == {"filters": 0, "float": 0, "exact": 0}
+
+
+def _turan_failures(seq, d, hi):
+    """Every m in [0, hi] with J^{d,m} not hyperbolic, d = 2 or 3, read off
+    turan_report: order 2 at m + 1, order 3 at m."""
+    shift = 3 - d
+    return [m - shift for m in turan_report(seq, str(d), (shift, hi + shift)).failures]
+
+
+def _assert_turan_route_is_sturms(seq, hi):
+    for d in (2, 3):
+        want = _turan_failures(seq, d, hi)
+        assert want == [m for m in range(hi + 1) if not is_hyperbolic(jensen_poly(seq, d, m))]
+        # the scan stops at a failure at hi, which leaves no onset
+        assert list(turan._failures(seq, d, hi, frozenset()))[::-1] == ([hi] if hi in want else want)
+        assert hyperbolicity_onset(seq, d, hi) == _sturm_onset(seq, d, hi)
+    assert onset_atlas(seq, 3, hi) == _atlas_oracle(seq, 3, hi)
+
+
+def test_degree2_and_degree3_failures_are_the_turan_failures(p2_seq):
+    alpha = pbar_abn_table(0, 3, 7, 3012)[0::2]  # starts 0, 0, 0, 1, 2, 4
+    for seq, hi in ((p_values(910), 900), (p2_seq, 500), (alpha, 1500)):
+        _assert_turan_route_is_sturms(seq, hi)
+    # alpha(m + d) = 0 with alpha(m + d - 1) != 0: J^{2,1} = 3 + 2X and
+    # J^{3,0} = 2 + 9X + 3X^2 drop a degree and are hyperbolic, and
+    # J^{3,0} = 1 + 15X + 90X^2 drops one and is not
+    _assert_turan_route_is_sturms([2, 3, 1, 0, 0, 0, 0], 3)
+    _assert_turan_route_is_sturms([1, 5, 30, 0, 0, 7, 0, 0], 4)
+
+
+@given(st.lists(st.one_of(st.just(0), st.integers(-20, 20)), min_size=4, max_size=20))
+@settings(max_examples=300, deadline=None)
+def test_degree2_and_degree3_failures_are_the_turan_failures_on_any_sequence(seq):
+    # zeros make windows whose Jensen polynomials drop degree, and negative
+    # entries make leading coefficients of either sign
+    _assert_turan_route_is_sturms(seq, len(seq) - 4)
 
 
 def test_onset_of_non_positive_or_wild_sequences_is_sturms(p2_seq):
