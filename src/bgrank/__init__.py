@@ -17,6 +17,6 @@ the O(N^2) series oracle behind ``bgrank validate`` is not exported.
 caches it: kind, params and its ``n,value`` text, whose values are parsed
 on first read when the table came from a cache file.
 Every experiment, the onset atlas included, is a ``bgrank`` subcommand
-(``bgrank.cli``), whose ``_STATS`` names each table's kind and route."""
+(``bgrank.cli``), whose ``_STATS`` names each table's kind, route and cap."""
 
 __version__ = "0.1.0"

@@ -50,6 +50,7 @@ from .series import (
     series_invert,
 )
 from .turan import (
+    TURAN_ORDERS,
     hermite,
     hermite_distance,
     is_hyperbolic,
@@ -82,14 +83,6 @@ ARCS_MAX_B = 300
 # 240 MiB (CSV) and 300 MiB (JSON) on an x86-64 Linux host, linear in b
 EQUIDIST_MAX_B = 10**6
 
-# table builds a stat up to --n-max, refused above the stat's cap before the
-# cache is read: p to 10**5 takes about 2.4 s and 28 MiB on a Xeon core, p2 to
-# 10**5 3.8-4.9 s and 46 MiB (2*10**5 takes 19.6 s), pbar reads p2 to about
-# n_max/2, and pbar-ab holds (min(b//2, nq) + 1)(nq + 1) residue entries,
-# nq = n_max/2: 148 MiB and about 1 s at b = n_max = 4000.  jensen, turan and
-# onset read alpha(m) = p2(m) from one table under p2's cap
-TABLE_MAX_N = {"p": 10**5, "p2": 10**5, "pbar": 2 * 10**5, "pbar-ab": 4000}
-
 CANDIDATE_DIRECT = 6.0**-0.75
 CANDIDATE_PRINTED = math.sqrt(2.0) * 6.0**-0.75
 
@@ -111,35 +104,42 @@ def _resolve_cache_dir(args) -> Path | None:
 # subcommands
 
 
-def _alpha_through(m: int, command: str) -> list[int]:
-    """alpha(0..m) for ``command`` (just alpha(0) for m < 0), refused with a
-    ValueError above p2's table cap before it is built."""
-    if m > TABLE_MAX_N["p2"]:
-        raise ValueError(f"{command} reads alpha(m) up to m = {m}, above the cap of {TABLE_MAX_N['p2']}")
-    return p2_values(max(0, m))
-
-
-# stat -> (cache kind, selectors it takes, route label, values builder); the
-# lambdas look a rebound name up at call time.  "p-self-convolution" and
-# "roots-of-unity-orthogonality" name former routes (p2 is now a division by
-# (q;q)_oo, the class tables crank sums); they are kept so that report files
-# stay byte-identical.
+# stat -> (cache kind, selectors it takes, route label, values builder, cap on
+# --n-max); the lambdas look a rebound name up at call time.
+# "p-self-convolution" and "roots-of-unity-orthogonality" name former routes
+# (p2 is now a division by (q;q)_oo, the class tables crank sums); they are
+# kept so that report files stay byte-identical.  table refuses an --n-max
+# above the cap before the cache is read: p to 10**5 takes about 2.4 s and
+# 28 MiB on a Xeon core, p2 to 10**5 3.8-4.9 s and 46 MiB (2*10**5 takes
+# 19.6 s), pbar reads p2 to about n_max/2, and pbar-ab holds
+# (min(b//2, nq) + 1)(nq + 1) residue entries, nq = n_max/2: 148 MiB and
+# about 1 s at b = n_max = 4000.  jensen, turan and onset read alpha(m) = p2(m)
+# from one table under p2's cap
 _STATS = {
-    "p": ("p", (), "pentagonal-recurrence", lambda args: p_values(args.n_max)),
-    "p2": ("p2", (), "p-self-convolution", lambda args: p2_values(args.n_max)),
-    "pbar": ("pbar_j", ("j",), "eta-quotient-shift", lambda args: pbar_values(args.j, args.n_max)),
+    "p": ("p", (), "pentagonal-recurrence", lambda args: p_values(args.n_max), 10**5),
+    "p2": ("p2", (), "p-self-convolution", lambda args: p2_values(args.n_max), 10**5),
+    "pbar": ("pbar_j", ("j",), "eta-quotient-shift", lambda args: pbar_values(args.j, args.n_max), 2 * 10**5),
     "pbar-ab": (
         "pbar_jab",
         ("j", "a", "b"),
         "roots-of-unity-orthogonality",
         lambda args: pbar_abn_table(args.j, args.a, args.b, args.n_max),
+        4000,
     ),
 }
 
 
+def _alpha_through(m: int, command: str) -> list[int]:
+    """alpha(0..m) for ``command`` (just alpha(0) for m < 0), refused with a
+    ValueError above p2's table cap before it is built."""
+    if m > (cap := _STATS["p2"][-1]):
+        raise ValueError(f"{command} reads alpha(m) up to m = {m}, above the cap of {cap}")
+    return p2_values(max(0, m))
+
+
 def cmd_table(args) -> RunReport:
     stat = args.stat
-    kind, takes, route, build = _STATS[stat]
+    kind, takes, route, build, cap = _STATS[stat]
     params = {"j": args.j, "a": args.a, "b": args.b}
     for name, value in params.items():
         if (value is None) == (name in takes):
@@ -147,8 +147,8 @@ def cmd_table(args) -> RunReport:
     # before the cache is read: a cached file must not answer a request the
     # builder would refuse
     check_table_request(args.n_max, args.a, args.b)
-    if args.n_max > TABLE_MAX_N[stat]:
-        raise ValueError(f"table --stat {stat} needs --n-max <= {TABLE_MAX_N[stat]}")
+    if args.n_max > cap:
+        raise ValueError(f"table --stat {stat} needs --n-max <= {cap}")
     table = cache.get_table(
         kind, {name: params[name] for name in takes}, args.n_max, lambda: build(args), args.cache_dir
     )
@@ -278,9 +278,10 @@ def cmd_jensen(args) -> RunReport:
 def cmd_turan(args) -> RunReport:
     lo, hi = args.range
     order = args.order
-    # the largest index the scan reads; turan_report names a bad range itself
-    top = {"convexity": 2 * hi, "3": hi + 3}.get(order, hi + 1)
-    rep = turan_report(_alpha_through(top, "turan"), order, (lo, hi))
+    # read alpha up to the largest index the scan reads; turan_report names a
+    # bad range itself
+    _, reach, _ = TURAN_ORDERS[order]
+    rep = turan_report(_alpha_through(reach(hi), "turan"), order, (lo, hi))
     rows = [(str(idx), "failure") for idx in rep.failures]
     rows += [(str(idx), "equality") for idx in rep.equalities]
     report = RunReport(
@@ -597,7 +598,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=lambda args: cmd_jensen(args))
 
     sp = sub.add_parser("turan", help="inequality scans over the pair-count sequence", parents=[out])
-    sp.add_argument("--order", choices=("2", "3", "convexity"), required=True)
+    sp.add_argument("--order", choices=tuple(TURAN_ORDERS), required=True)
     sp.add_argument("--range", type=_parse_range, required=True)
     sp.set_defaults(handler=lambda args: cmd_turan(args))
 

@@ -17,10 +17,10 @@ the classical one over the rationals, and its last member is g = gcd(p, p').
 p has deg p - deg g distinct complex roots, so one chain certifies
 hyperbolicity: p is hyperbolic iff the chain counts that many distinct real
 roots.  Onset scans (``_failures``) settle degrees 2 and 3 by the exact
-order-2 and order-3 inequalities (``_turan_scan``, which ``turan_report``
-reads too); at higher degree they first try a cheaper exact certificate,
-``_signs_alternate``, and build a chain only where it fails.  The
-renormalized-limit comparisons are floating point.
+order-2 and order-3 inequalities (``turan_report``'s scans); at higher
+degree they first try a cheaper exact certificate, ``_signs_alternate``,
+and build a chain only where it fails.  The renormalized-limit comparisons
+are floating point.
 """
 
 from __future__ import annotations
@@ -257,6 +257,15 @@ def _turan_scan(seq: Sequence[int], order: int, ms: range) -> tuple[list[int], l
     return failures, equalities
 
 
+# order -> (least lo, the largest index a scan of [lo, hi] reads, the message
+# for a sequence too short to hold it)
+TURAN_ORDERS = {
+    "2": (1, lambda hi: hi + 1, "order-2 scan needs indices [lo-1, hi+1] inside the sequence"),
+    "3": (0, lambda hi: hi + 3, "order-3 scan needs indices [lo, hi+3] inside the sequence"),
+    "convexity": (0, lambda hi: 2 * hi, "convexity scan needs indices up to 2*hi inside the sequence"),
+}
+
+
 def turan_report(seq: Sequence[int], order: str, index_range: tuple[int, int]) -> TuranReport:
     """Scan the order-2 or order-3 inequality, or pairwise superadditivity.
 
@@ -265,37 +274,36 @@ def turan_report(seq: Sequence[int], order: str, index_range: tuple[int, int]) -
                      >= (a_{m+1} a_{m+2} - a_m a_{m+3})^2
     convexity:     alpha(n1) alpha(n2) > alpha(n1 + n2), lo <= n1 <= n2 <= hi
 
-    All comparisons are exact integer arithmetic.  The convexity scan first
-    finds the least t with alpha > 0 on [t - 1, 2 hi] and order 2 at every m
-    in [t, 2 hi - 1], then leaves each n1's scan at its first success with
-    n2 >= t.  This is exact: on that window alpha(k + 1)/alpha(k) does not
-    increase, so alpha(n1 + n2)/alpha(n2), a product of n1 such ratios, does
-    not grow with n2, and a success stays one up to n2 = hi.  For a sequence
-    positive and log-concave past a fixed index the scan is O(hi + failures)
-    products.
+    ``TURAN_ORDERS`` holds each order's least lo, the largest index a scan
+    reads and its message for a sequence too short for it.  All comparisons
+    are exact integer arithmetic, and an entry up to that index that is not
+    an integer raises TypeError.  The convexity scan first finds the least t
+    with alpha > 0 on [t - 1, 2 hi] and order 2 at every m in [t, 2 hi - 1],
+    then leaves each n1's scan at its first success with n2 >= t.  This is
+    exact: on that window alpha(k + 1)/alpha(k) does not increase, so
+    alpha(n1 + n2)/alpha(n2), a product of n1 such ratios, does not grow
+    with n2, and a success stays one up to n2 = hi.  For a sequence positive
+    and log-concave past a fixed index the scan is O(hi + failures) products.
     """
     lo, hi = index_range
     if lo > hi:
         raise ValueError("empty range")
-    failures: list = []
-    equalities: list = []
-    if order == "2":
-        if lo < 1 or hi + 1 >= len(seq):
-            raise ValueError("order-2 scan needs indices [lo-1, hi+1] inside the sequence")
-        failures, equalities = _turan_scan(seq, 2, range(lo, hi + 1))
-    elif order == "3":
-        if lo < 0 or hi + 3 >= len(seq):
-            raise ValueError("order-3 scan needs indices [lo, hi+3] inside the sequence")
-        failures, equalities = _turan_scan(seq, 3, range(lo, hi + 1))
-    elif order == "convexity":
-        if lo < 0 or 2 * hi >= len(seq):
-            raise ValueError("convexity scan needs indices up to 2*hi inside the sequence")
+    if order not in TURAN_ORDERS:
+        raise ValueError("order must be 2, 3 or 'convexity'")
+    least, reach, short = TURAN_ORDERS[order]
+    if lo < least or reach(hi) >= len(seq):
+        raise ValueError(short)
+    seq = list(map(operator.index, seq[: reach(hi) + 1]))  # TypeError off the integers, as in sturm_chain
+    if order != "convexity":
+        failures, equalities = _turan_scan(seq, int(order), range(lo, hi + 1))
+    else:
         # least t with seq > 0 on [t - 1, 2 hi], then raised past the last
         # order-2 failure in [t, 2 hi - 1]
         t = next((k + 2 for k in range(2 * hi, -1, -1) if seq[k] <= 0), 1)
         tail_failures = _turan_scan(seq, 2, range(2 * hi - 1, t - 1, -1))[0]
         if tail_failures:
             t = tail_failures[0] + 1
+        failures, equalities = [], []
         for n1 in range(lo, hi + 1):
             a = seq[n1]
             for n2 in range(n1, hi + 1):
@@ -308,8 +316,6 @@ def turan_report(seq: Sequence[int], order: str, index_range: tuple[int, int]) -
                     failures.append((n1, n2))
                     if lhs == rhs:
                         equalities.append((n1, n2))
-    else:
-        raise ValueError("order must be 2, 3 or 'convexity'")
     return TuranReport(holds=not failures, failures=tuple(failures), equalities=tuple(equalities))
 
 
@@ -489,7 +495,7 @@ def _failures(seq: Sequence[int], d: int, hi: int, inherited: frozenset[int]) ->
     and a hyperbolic polynomial has a hyperbolic derivative (Rolle, the zero
     polynomial counted hyperbolic), so m + 1 in it makes m a failure with no
     check.  At d = 2 and 3 every other shift is settled by its exact Turan
-    inequality (``_turan_scan``, order 2 at m + 1 and order 3 at m), with no
+    inequality (``turan_report``, order 2 at m + 1 and order 3 at m), with no
     probe, float or chain.  Down to the first failure, a shift of degree
     d >= 4 tries the certificate of ``_signs_alternate``, which never
     rejects; every shift left unsettled gets the exact Sturm verdict of
@@ -503,8 +509,7 @@ def _failures(seq: Sequence[int], d: int, hi: int, inherited: frozenset[int]) ->
     exact = d in (2, 3)
     if exact:
         # J^{2,m} is hyperbolic iff order 2 holds at m + 1, J^{3,m} iff order 3 at m
-        window = list(map(operator.index, seq[: hi + d + 1]))  # TypeError off the integers, as in sturm_chain
-        failed = {i + d - 3 for i in _turan_scan(window, d, range(3 - d, hi + 4 - d))[0]}
+        failed = {i + d - 3 for i in turan_report(seq, str(d), (3 - d, hi + 3 - d)).failures}
     binoms = [math.comb(d, k) for k in range(d + 1)]
     if d >= 4:
         probes = _hermite_probes(d)

@@ -576,7 +576,7 @@ def test_cli_table_refuses_a_request_before_the_cache(argv, tmp_path, capsys):
     # a file filed under a request the builder refuses is never served: the
     # request fails alike with and without it, with the builder's message
     args = cli.parse_args(argv.split())
-    kind, takes, _, build = cli._STATS[args.stat]
+    kind, takes, _, build, _ = cli._STATS[args.stat]
     with pytest.raises(ValueError) as refused:
         build(args)
     _forge(tmp_path, kind, {name: getattr(args, name) for name in takes}, args.n_max)

@@ -159,6 +159,46 @@ def test_turan_inequalities_are_computed_in_one_place():
     assert squaring == {"_turan_scan"}
 
 
+def _top_level(tree: ast.Module, name: str):
+    """The module-level definition or assignment of ``name`` in ``tree``."""
+    (node,) = [
+        top
+        for top in tree.body
+        if getattr(top, "name", None) == name
+        or any(getattr(target, "id", None) == name for target in getattr(top, "targets", ()))
+    ]
+    return node
+
+
+def test_turan_orders_are_listed_in_turan_alone():
+    # --order's choices and how far each order's scan reads come from
+    # turan.TURAN_ORDERS, through which turan_report checks every window: a
+    # second list of the orders or of their reach could drift from it
+    naming = {
+        path.name
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and node.value == "convexity"
+    }
+    assert naming == {"turan.py"}
+    cmd_turan = _top_level(ast.parse((PACKAGE / "cli.py").read_text()), "cmd_turan")
+    assert not [node for node in ast.walk(cmd_turan) if isinstance(node, ast.BinOp)]
+    report = _top_level(ast.parse((PACKAGE / "turan.py").read_text()), "turan_report")
+    lengths = [
+        node for node in ast.walk(report) if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "len"
+    ]
+    assert len(lengths) == 1  # one window check for every order
+
+
+def test_each_stat_has_one_entry_in_cli():
+    # a stat's cache kind, selectors, route, builder and --n-max cap are one
+    # cli._STATS entry: a second dict keyed by stat could miss a stat or drift
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    keyed = [node for node in ast.walk(tree) if isinstance(node, ast.Constant) and node.value == "pbar-ab"]
+    stats = _top_level(tree, "_STATS").value
+    assert len(keyed) == 1 and any(key is keyed[0] for key in stats.keys)
+
+
 def _places_beads(node) -> bool:
     """Bead b put onto runner b % t at height b // t: an append to a list
     indexed by a remainder or of a quotient, a comprehension of quotients

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from bgrank import turan
 from bgrank.series import p2_values, p_values, pbar_abn_table, pbar_abn_values
 from bgrank.turan import (
+    TURAN_ORDERS,
     _distinct_real_roots,
     _exact_sign,
     _float_signs,
@@ -700,6 +701,13 @@ def test_onset_of_non_integer_sequences_raises_type_error(p2_seq):
             onset_atlas(seq, 4, 30)
         with pytest.raises(TypeError):
             _signs_alternate(jensen_poly(seq, 3, 30), seq[30:33], _hermite_probes(3))
+    # turan_report takes integers only, as the onset scan does: float entries
+    # compare inexactly, and a float square leaves float64 from p2(10289)
+    hand = [1.0, 2.0, 3.0, 3.5, 3.9]
+    for seq in ([float(v) for v in p2_seq[:40]], hand, [Fraction(v).limit_denominator(10) for v in hand]):
+        for order in TURAN_ORDERS:
+            with pytest.raises(TypeError):
+                turan_report(seq, order, (1, 1))
 
 
 def test_degree2_and_degree3_onsets_take_no_probe_float_or_chain(p2_seq, monkeypatch):
