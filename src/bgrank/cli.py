@@ -72,7 +72,9 @@ CACHE_ENV = "BGRANK_CACHE_DIR"
 # onsets, 702 of the 1162 shifts fail by Rolle from degree d - 1 and take no
 # chain; of the other 460, the 28 at d = 2, 3 take none and the 432 at d >= 4,
 # the 5 first failures among them, one apiece.  The scans down to the first
-# failure over d = 2..55 take about 4.0 s
+# failure over d = 2..55 take about 4.0 s.  The cap also bounds jensen --d
+# without --renormalized, one chain of degree d: at n = 60000 that chain takes
+# about 1.3 s at d = 24 and 8.7 s at d = 40 on a Xeon core
 ONSET_MAX_DEGREE = 24
 
 # h_congruence_numeric does O(b^2) work per sample point: the arc check takes
@@ -114,7 +116,10 @@ def _resolve_cache_dir(args) -> Path | None:
 # 19.6 s), pbar reads p2 to about n_max/2, and pbar-ab holds
 # (min(b//2, nq) + 1)(nq + 1) residue entries, nq = n_max/2: 148 MiB and
 # about 1 s at b = n_max = 4000.  jensen, turan and onset read alpha(m) = p2(m)
-# from one table under p2's cap
+# from one table under p2's cap.  equidist and asympt refuse, before building
+# anything, a size above the cap of the table they build: pbar's for asympt at
+# b = 1, and otherwise the class tables' cap, named since three commands read it
+CLASS_TABLE_MAX_N = 4000
 _STATS = {
     "p": ("p", (), "pentagonal-recurrence", lambda args: p_values(args.n_max), 10**5),
     "p2": ("p2", (), "p-self-convolution", lambda args: p2_values(args.n_max), 10**5),
@@ -124,7 +129,7 @@ _STATS = {
         ("j", "a", "b"),
         "roots-of-unity-orthogonality",
         lambda args: pbar_abn_table(args.j, args.a, args.b, args.n_max),
-        4000,
+        CLASS_TABLE_MAX_N,
     ),
 }
 
@@ -180,7 +185,9 @@ def cmd_joint(args) -> RunReport:
 
 def cmd_equidist(args) -> RunReport:
     j, b, n = args.j, args.b, args.n
-    total = pbar_eta(j, n)  # first, so a negative n is reported as n
+    if n > CLASS_TABLE_MAX_N:
+        raise ValueError(f"equidist needs --n <= {CLASS_TABLE_MAX_N}")
+    total = pbar_eta(j, n)  # before the --b check, so a negative n is reported as n
     if not total:
         core = bg_core_size(j)
         raise ValueError(
@@ -211,6 +218,8 @@ def cmd_asympt(args) -> RunReport:
         raise ValueError("asympt --n-list must be strictly increasing")
     if any(n % 2 or n < 2 for n in n_list):
         raise ValueError("asympt n-list entries must be even and >= 2")
+    if n_list[-1] > (cap := _STATS["pbar"][-1] if b == 1 else CLASS_TABLE_MAX_N):
+        raise ValueError(f"asympt --b {b} needs --n-list entries <= {cap}")
     table = pbar_values(0, n_list[-1]) if b == 1 else pbar_abn_table(0, 0, b, n_list[-1])
     rows = []
     r_values = []
@@ -253,6 +262,8 @@ def cmd_jensen(args) -> RunReport:
     d, n = args.d, args.n
     if d < 1 or n < 0:
         raise ValueError("jensen needs --d >= 1 and --n >= 0")
+    if d > ONSET_MAX_DEGREE and not args.renormalized:
+        raise ValueError(f"jensen needs --d <= {ONSET_MAX_DEGREE} without --renormalized")
     seq = _alpha_through(n + d, "jensen")
     if args.renormalized:
         coeffs = renormalized_jensen(seq, d, n, renorm_sequences_step2(n))

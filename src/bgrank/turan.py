@@ -237,23 +237,18 @@ def _turan_scan(seq: Sequence[int], order: int, ms: range) -> tuple[list[int], l
     """
     failures: list[int] = []
     equalities: list[int] = []
-    if order == 2:
-        for m in ms:
+    for m in ms:
+        if order == 2:
             lhs = seq[m] * seq[m]
             rhs = seq[m - 1] * seq[m + 1]
-            if lhs < rhs:
-                failures.append(m)
-            elif lhs == rhs:
-                equalities.append(m)
-    else:
-        for m in ms:
+        else:
             a0, a1, a2, a3 = seq[m], seq[m + 1], seq[m + 2], seq[m + 3]
             lhs = 4 * (a1 * a1 - a0 * a2) * (a2 * a2 - a1 * a3)
             rhs = (a1 * a2 - a0 * a3) ** 2
-            if lhs < rhs:
-                failures.append(m)
-            elif lhs == rhs:
-                equalities.append(m)
+        if lhs < rhs:
+            failures.append(m)
+        elif lhs == rhs:
+            equalities.append(m)
     return failures, equalities
 
 

@@ -94,7 +94,7 @@ def test_row_function_serves_both_renders(json_first):
 def test_json_render_holds_no_fragment_list():
     # each value renders to its own string; a list of every fragment of the
     # document would peak near 6.6 times the text
-    rows = [(a, 10**30 + a, 1.0 + a / 7, a / 3e5) for a in range(10**5)]
+    rows = [(a, 10**30 + a, 1.0 + a / 7, a / 3e5) for a in range(10**4)]
     rep = RunReport("x", {}, ("a", "count", "ratio", "abs_dev"), rows=rows)
     tracemalloc.start()
     try:
@@ -531,6 +531,10 @@ def test_cli_negative_n_max_is_argument_error(argv, capsys):
             ["table", "--stat", "pbar-ab", "--j", "0", "--a", "0", "--b", "4000", "--n-max", "4001"],
             "table --stat pbar-ab needs --n-max <= 4000",
         ),
+        (["equidist", "--j", "0", "--b", "5", "--n", "4002"], "equidist needs --n <= 4000"),
+        (["asympt", "--n-list", "200002"], "asympt --b 1 needs --n-list entries <= 200000"),
+        (["asympt", "--n-list", "1000,2000,4000,8000", "--b", "5"], "asympt --b 5 needs --n-list entries <= 4000"),
+        (["jensen", "--d", "25", "--n", "1000"], "jensen needs --d <= 24 without --renormalized"),
     ],
 )
 def test_cli_out_of_range_flag_is_named(argv, message, capsys):
@@ -798,6 +802,37 @@ def test_cli_alpha_cap_is_checked_before_the_build(argv, top, monkeypatch, capsy
         raise ValueError("stub builder")
 
     monkeypatch.setattr("bgrank.cli.p2_values", builder)
+    assert main(["--no-cache", *argv.split()]) == 2
+    err = capsys.readouterr().err
+    assert asked == ([] if top is None else [top])
+    assert ("stub builder" in err) == (top is not None)
+
+
+@pytest.mark.parametrize(
+    "argv, builder, top",
+    [
+        ("equidist --j 0 --b 5 --n 4000", "pbar_eta", 4000),
+        ("equidist --j 0 --b 5 --n 4001", "pbar_eta", None),
+        ("asympt --n-list 2,200000", "pbar_values", 200000),
+        ("asympt --n-list 2,200002", "pbar_values", None),
+        ("asympt --n-list 4000 --b 2", "pbar_abn_table", 4000),
+        ("asympt --n-list 4002 --b 2", "pbar_abn_table", None),
+        ("jensen --d 24 --n 1000", "p2_values", 1024),
+        ("jensen --d 25 --n 1000", "p2_values", None),
+        ("jensen --d 25 --n 1000 --renormalized", "p2_values", 1025),
+    ],
+)
+def test_cli_size_caps_are_checked_before_the_build(argv, builder, top, monkeypatch, capsys):
+    # equidist's and asympt's sizes reach their table's builder up to its
+    # _STATS cap and never beyond it; jensen's exact path reaches alpha up to
+    # degree ONSET_MAX_DEGREE, and the renormalized path past it
+    asked = []
+
+    def stub(*args):
+        asked.append(args[-1])
+        raise ValueError("stub builder")
+
+    monkeypatch.setattr(f"bgrank.cli.{builder}", stub)
     assert main(["--no-cache", *argv.split()]) == 2
     err = capsys.readouterr().err
     assert asked == ([] if top is None else [top])

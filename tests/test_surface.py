@@ -157,6 +157,10 @@ def test_turan_inequalities_are_computed_in_one_place():
         if _squares_a_term(node)
     }
     assert squaring == {"_turan_scan"}
+    # both orders run through its one loop, so the failure-and-equality rule
+    # is written once
+    scan = _top_level(ast.parse((PACKAGE / "turan.py").read_text()), "_turan_scan")
+    assert len([node for node in ast.walk(scan) if isinstance(node, ast.For)]) == 1
 
 
 def _top_level(tree: ast.Module, name: str):
