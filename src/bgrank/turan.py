@@ -18,13 +18,16 @@ p has deg p - deg g distinct complex roots, so one chain certifies
 hyperbolicity: p is hyperbolic iff the chain counts that many distinct real
 roots.  Onset scans (``_failures``) settle degrees 2 and 3 by the exact
 order-2 and order-3 inequalities (``turan_report``'s scans); at higher
-degree they first try a cheaper exact certificate, ``_signs_alternate``,
-and build a chain only where it fails.  The renormalized-limit comparisons
+degree they first try a cheaper exact certificate, ``_signs_alternate``:
+signs that alternate at d - 1 points between the roots and, read off the
+leading coefficient, at -oo and +oo.  They build a chain only where it
+fails.  The renormalized-limit comparisons
 are floating point.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from typing import Iterator, NamedTuple, Sequence
@@ -321,8 +324,8 @@ _U = 2.0**-53  # unit roundoff of float64
 
 
 def _hermite_probes(d: int) -> list[float]:
-    """d + 1 increasing floats that separate the zeros of H_d (d >= 2): the
-    midpoints of consecutive zeros, and one gap beyond each end zero.
+    """d - 1 increasing floats that separate the zeros of H_d (d >= 2): the
+    midpoints of consecutive zeros.
 
     The zeros are found by bisection on the count of sign changes of
     H_0(x), ..., H_d(x), which is the number of zeros above x (the recurrence
@@ -353,23 +356,31 @@ def _hermite_probes(d: int) -> list[float]:
                 hi = mid
         upper.append(0.5 * (lo + hi))
     zeros = [-z for z in reversed(upper)] + [0.0] * (d % 2) + upper
-    mids = [(u + v) / 2 for u, v in zip(zeros, zeros[1:])]
-    return [2 * zeros[0] - zeros[1], *mids, 2 * zeros[-1] - zeros[-2]]
+    return [(u + v) / 2 for u, v in zip(zeros, zeros[1:])]
 
 
-def _float_gate(probes: Sequence[float]) -> float:
+def _float_gate(d: int, probes: Sequence[float]) -> float:
     """The delta at or below which the certificate tries no float for these
-    d + 1 >= 2 probes.  Near the Hermite limit p(x_i) is about
+    d - 1 >= 1 probes of degree d.  Near the Hermite limit p(x_i) is about
     alpha(n) delta^d H_d(eta_i) and the bound of ``_float_signs`` about
     (4d + 10) u alpha(n) 2^d, so every point clears it only if
     (delta/2)^d min_i |H_d(eta_i)| > (4d + 10) u: delta^d above about 2^-48
     at d = 2..6, 2^-50 at d = 8, 2^-54.5 at d = 12.  It picks a route, never
     a sign.
     """
-    d = len(probes) - 1
     h = hermite(d)
     low = min(abs(sum(c * eta**k for k, c in enumerate(h))) for eta in probes)
     return 2 * ((4 * d + 10) * _U / low) ** (1 / d) if low else math.inf
+
+
+@functools.cache
+def _jensen_certificate(d: int) -> tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...], float]:
+    """What the certificate reads at every shift of degree d, made once: the
+    weights binom(d, k), k = 0..d, as integers and as floats, the probes of
+    ``_hermite_probes(d)`` and their ``_float_gate``."""
+    binoms = tuple([math.comb(d, k) for k in range(d + 1)])
+    probes = tuple(_hermite_probes(d))
+    return binoms, tuple(map(float, binoms)), probes, _float_gate(d, probes)
 
 
 def _floats(values: Sequence[int]) -> list[float]:
@@ -408,12 +419,11 @@ def _float_signs(fcs: Sequence[float], xs: Sequence[float]) -> list[int]:
     k <= d, so min(1, min |x_i|)^d > 2^-900 keeps every product normal.
     """
     d = len(fcs) - 1
-    absx = list(map(abs, xs))
-    top = max(absx)
+    top = max(map(abs, xs))
     s = 0.0
     for c in reversed(fcs):
         s = s * top + abs(c)
-    if not (s < math.inf and min(1.0, min(absx)) ** d > 2.0**-900):
+    if not (s < math.inf and min(1.0, min(map(abs, xs))) ** d > 2.0**-900):
         return [0] * len(xs)
     bound = (4 * d + 10) * _U * s
     lead, rest = fcs[-1], fcs[-2::-1]
@@ -426,13 +436,23 @@ def _float_signs(fcs: Sequence[float], xs: Sequence[float]) -> list[int]:
     return signs
 
 
-def _alternates(alpha: Sequence[int], probes: Sequence[float], gate: float, floats, exact) -> bool:
-    """``_signs_alternate`` for the polynomial whose coefficients ``floats()``
-    returns as for ``_float_signs`` and ``exact()`` as integers, each called
-    only when a point needs it: the floats only if delta > ``gate``.
+def _alternates(window: Sequence[int], fwindow: Sequence[float], alpha: Sequence[int], cert: tuple) -> bool:
+    """``_signs_alternate`` for p = sum_k weights[k] window[k] X^k, where
+    ``cert`` holds the weights, their floats, ascending probes and their
+    gate, as ``_jensen_certificate`` does.  ``fwindow`` holds the window as
+    ``_floats`` makes it, and weight times window entry in float64 gives
+    the coefficients ``_float_signs`` is handed, tried only if delta > gate;
+    p's integer coefficients are formed only for a point that needs
+    ``_exact_sign``.
+
+    delta > 0 and e^-A > 0, so by monotone rounding the points do not
+    descend; two equal points carry equal signs, which fail to alternate,
+    and finite ends leave every point finite.
     """
+    weights, fweights, probes, gate = cert
+    lead = weights[-1] * window[-1]
     a0, a1, a2 = alpha
-    if a0 <= 0 or a1 <= 0 or a2 <= 0:
+    if not lead or a0 <= 0 or a1 <= 0 or a2 <= 0:
         return False
     try:
         l1, l2 = math.log(a1 / a0), math.log(a2 / a0)
@@ -443,42 +463,50 @@ def _alternates(alpha: Sequence[int], probes: Sequence[float], gate: float, floa
         xs = [(delta * eta - 1) * scale for eta in probes]
     except (OverflowError, ValueError):  # a ratio or e^-A beyond float64
         return False
-    if not all(map(operator.lt, xs, xs[1:])) or not all(map(math.isfinite, xs)):
+    if not -math.inf < xs[0] <= xs[-1] < math.inf:
         return False
-    signs = _float_signs(floats(), xs) if delta > gate else [0] * len(xs)
-    p, last = None, 0
+    signs = _float_signs(list(map(operator.mul, fweights, fwindow)), xs) if delta > gate else [0] * len(xs)
+    # the sign at the first point is the opposite of (-1)^d sign(c_d), the
+    # one at -oo; d - 1 flips from it end at -sign(c_d), the opposite of the
+    # one at +oo
+    p, want = None, 1 if (lead > 0) == (len(window) % 2 == 0) else -1
     for x, sign in zip(xs, signs):
         if not sign:
-            if p is None:
-                p = exact()
+            p = p or list(map(operator.mul, weights, window))
             sign = _exact_sign(p, x)
-        if sign in (0, last):
+        if sign != want:
             return False
-        last = sign
+        want = -sign
     return True
 
 
 def _signs_alternate(coeffs: Sequence, alpha: Sequence[int], probes: Sequence[float]) -> bool:
-    """True only if the polynomial ``coeffs`` of degree at most d has d
-    distinct real roots, shown by signs that strictly alternate at the d + 1
-    points the ``probes`` map to; False means unsettled, not non-hyperbolic.
+    """True only if the polynomial ``coeffs`` of degree at most d >= 2 has d
+    distinct real roots, shown by signs that strictly alternate at -oo, at
+    the d - 1 points the ``probes`` map to and at +oo; False means
+    unsettled, not non-hyperbolic.
 
-    ``alpha`` holds the sequence at n, n + 1, n + 2; the recentring pair is
-    read off it, delta^2 = l1 - l2/2 and A = l1 + delta^2 with
-    l_k = log(alpha(n + k)/alpha(n)), and each probe eta of the Hermite limit
-    maps to the float x = (delta eta - 1)/e^A, a dyadic rational.  A Jensen
-    polynomial recentred so tends to a multiple of H_d
+    The signs at -oo and +oo are (-1)^d sign(c_d) and sign(c_d), read off
+    the integer leading coefficient c_d, so a c_d of 0 leaves the polynomial
+    unsettled.  ``alpha`` holds the sequence at n, n + 1, n + 2; the
+    recentring pair is read off it, delta^2 = l1 - l2/2 and A = l1 + delta^2
+    with l_k = log(alpha(n + k)/alpha(n)), and each probe eta of the Hermite
+    limit maps to the float x = (delta eta - 1)/e^A, a dyadic rational.  A
+    Jensen polynomial recentred so tends to a multiple of H_d
     (Griffin-Ono-Rolen-Zagier), so near the limit these points separate its
-    roots.  Signs that alternate at d + 1 increasing points give d sign
-    changes, hence d distinct real roots by the intermediate value theorem.
-    Each sign is p's own: ``_float_signs`` settles it where its bound allows
-    (tried only past ``_float_gate``), ``_exact_sign`` at the same x
-    otherwise.  These leave the polynomial unsettled: a probe count other
-    than d + 1, an entry of ``alpha`` that is not positive, ratios beyond the
-    float range, and a point that is not finite or not above its predecessor.
+    roots.  Signs that alternate at -oo, d - 1 increasing points and +oo
+    give d sign changes, hence d distinct real roots by the intermediate
+    value theorem.  Each sign at a point is p's own: ``_float_signs``
+    settles it where its bound allows (tried only past ``_float_gate``),
+    ``_exact_sign`` at the same x otherwise.  These leave the polynomial
+    unsettled too: a probe count other than d - 1 >= 1, probes that do not
+    ascend, an entry of ``alpha`` that is not positive, ratios beyond the
+    float range, and points that are not finite or not distinct.
     """
     p = [operator.index(c) for c in coeffs]  # TypeError off the integers, as in sturm_chain
-    return len(probes) == len(p) and _alternates(alpha, probes, _float_gate(probes), lambda: _floats(p), lambda: p)
+    if not 0 < len(probes) == len(p) - 2 or not all(map(operator.lt, probes, probes[1:])):
+        return False
+    return _alternates(p, _floats(p), alpha, ([1] * len(p), [1.0] * len(p), probes, _float_gate(len(p) - 1, probes)))
 
 
 def _failures(seq: Sequence[int], d: int, hi: int, inherited: frozenset[int]) -> Iterator[int]:
@@ -489,42 +517,35 @@ def _failures(seq: Sequence[int], d: int, hi: int, inherited: frozenset[int]) ->
     ``inherited`` holds failures of degree d - 1: d/dX J^{d,m} = d J^{d-1,m+1},
     and a hyperbolic polynomial has a hyperbolic derivative (Rolle, the zero
     polynomial counted hyperbolic), so m + 1 in it makes m a failure with no
-    check.  At d = 2 and 3 every other shift is settled by its exact Turan
+    check.  At d = 2 and 3 every shift is settled by its exact Turan
     inequality (``turan_report``, order 2 at m + 1 and order 3 at m), with no
-    probe, float or chain.  Down to the first failure, a shift of degree
+    probe, float or chain; being exact, those failures already hold every
+    one Rolle passes on.  Down to the first failure, a shift of degree
     d >= 4 tries the certificate of ``_signs_alternate``, which never
-    rejects; every shift left unsettled gets the exact Sturm verdict of
-    ``is_hyperbolic``.  Below the first failure a shift goes straight to its
-    chain: there the certificate saves few chains and costs more time than
-    they take.
+    rejects: ``_alternates`` on the degree's weights, d - 1 probes and float
+    gate, made once (``_jensen_certificate``), with the signs at +-oo read
+    off c_d = alpha(m + d).  Every shift left unsettled gets the exact Sturm
+    verdict of ``is_hyperbolic``.  Below the first failure a shift goes
+    straight to its chain: there the certificate saves few chains and costs
+    more time than they take.
     """
     if hi < 0:
         return
     jensen_poly(seq, d, hi)  # jensen_poly's ValueError for a bad d or a short seq
-    exact = d in (2, 3)
-    if exact:
-        # J^{2,m} is hyperbolic iff order 2 holds at m + 1, J^{3,m} iff order 3 at m
-        failed = {i + d - 3 for i in turan_report(seq, str(d), (3 - d, hi + 3 - d)).failures}
-    binoms = [math.comb(d, k) for k in range(d + 1)]
-    if d >= 4:
-        probes = _hermite_probes(d)
-        gate = _float_gate(probes)
-        fbinoms = list(map(float, binoms))
-        fseq = _floats(seq[: hi + d + 1])
-
-    # J^{d,m} and its floats at the m being settled: each reads m when called
-    def jensen() -> tuple[int, ...]:
-        return tuple(map(operator.mul, binoms, seq[m : m + d + 1]))
-
-    def floats() -> list[float]:
-        return list(map(operator.mul, fbinoms, fseq[m : m + d + 1]))
-
+    if d in (2, 3):
+        # J^{2,m} is hyperbolic iff order 2 holds at m + 1, J^{3,m} iff order 3
+        # at m; exact, so these hold every failure Rolle passes on
+        failed = [i + d - 3 for i in turan_report(seq, str(d), (3 - d, hi + 3 - d)).failures][::-1]
+        yield from failed[:1] if failed[:1] == [hi] else failed
+        return
     certify = d >= 4
+    if certify:
+        cert, fseq = _jensen_certificate(d), _floats(seq[: hi + d + 1])
     for m in range(hi, -1, -1):
-        if m + 1 in inherited or (
-            m in failed
-            if exact
-            else not (certify and _alternates(seq[m : m + 3], probes, gate, floats, jensen) or is_hyperbolic(jensen()))
+        if m + 1 in inherited or not (
+            certify
+            and _alternates(seq[m : m + d + 1], fseq[m : m + d + 1], seq[m : m + 3], cert)
+            or is_hyperbolic(jensen_poly(seq, d, m))
         ):
             yield m
             if m == hi:
@@ -536,8 +557,9 @@ def hyperbolicity_onset(seq: Sequence[int], d: int, hi: int) -> int | None:
     """Smallest m0 >= 0 with J^{d,m} hyperbolic for every m in [m0, hi]; None
     if even m = hi fails or hi < 0: one more than the first failure of
     ``_failures``, so each shift is settled exactly, at d = 2 and 3 by its
-    Turan inequality, at higher d by the certificate where it succeeds and
-    by a Sturm chain otherwise, and the onset is the Sturm-only scan's.
+    Turan inequality, at higher d by the certificate (signs at d - 1 points
+    and the leading coefficient's at +-oo) where it succeeds and by a Sturm
+    chain otherwise, and the onset is the Sturm-only scan's.
     """
     m0 = next(_failures(seq, d, hi, frozenset()), -1) + 1
     return None if m0 > hi else m0
