@@ -524,7 +524,7 @@ def cmd_report(args) -> RunReport:
     for name, argv in _REPORT_JOBS:
         job = parse_args(argv.split())
         job.cache_dir = args.cache_dir
-        rep = job.handler(job)
+        rep = _handler(job.command)(job)
         (out_dir / f"{name}.csv").write_text(rep.to_csv_text(), encoding="ascii")
         (out_dir / f"{name}.json").write_text(rep.to_json_text(), encoding="ascii")
         report.add_check(name, rep.passed)
@@ -561,9 +561,14 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError("n-list must be comma-separated integers") from exc
 
 
-# Each handler looks its cmd_* up by name when it runs, so a rebound cmd_*
-# (perfbench's tracer, a test's monkeypatch) is reached through the one parser
-# built before the rebinding.
+def _handler(command: str):
+    """The cmd_* function subcommand ``command`` runs: each subcommand is
+    named after its cmd_*, looked up here when it runs, so a rebound cmd_*
+    (perfbench's tracer, a test's monkeypatch) is the one run, also through
+    the one parser built before the rebinding."""
+    return globals()[f"cmd_{command}"]
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -584,52 +589,42 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", type=int, default=None)
     sp.add_argument("--b", type=int, default=None)
     sp.add_argument("--n-max", type=int, required=True, dest="n_max")
-    sp.set_defaults(handler=lambda args: cmd_table(args))
 
     sp = sub.add_parser("joint", help="bivariate (rank, size) table", parents=[out])
     sp.add_argument("--j", type=int, required=True)
     sp.add_argument("--n-max", type=int, required=True, dest="n_max")
-    sp.set_defaults(handler=lambda args: cmd_joint(args))
 
     sp = sub.add_parser("equidist", help="residue-class ratios b*count/total", parents=[out])
     sp.add_argument("--j", type=int, required=True)
     sp.add_argument("--b", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.set_defaults(handler=lambda args: cmd_equidist(args))
 
     sp = sub.add_parser("asympt", help="empirical leading-constant fit", parents=[out])
     sp.add_argument("--n-list", type=_parse_n_list, required=True, dest="n_list")
     sp.add_argument("--b", type=int, default=1)
-    sp.set_defaults(handler=lambda args: cmd_asympt(args))
 
     sp = sub.add_parser("jensen", help="Jensen polynomial of the pair-count sequence", parents=[out])
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--renormalized", action="store_true")
-    sp.set_defaults(handler=lambda args: cmd_jensen(args))
 
     sp = sub.add_parser("turan", help="inequality scans over the pair-count sequence", parents=[out])
     sp.add_argument("--order", choices=tuple(TURAN_ORDERS), required=True)
     sp.add_argument("--range", type=_parse_range, required=True)
-    sp.set_defaults(handler=lambda args: cmd_turan(args))
 
     sp = sub.add_parser(
         "onset", help="per-degree onset of Jensen hyperbolicity of the pair counts", parents=[out]
     )
     sp.add_argument("--max-degree", type=int, default=5, dest="max_degree")
     sp.add_argument("--hi", type=int, default=500)
-    sp.set_defaults(handler=lambda args: cmd_onset(args))
 
     sp = sub.add_parser("arcs", help="arc-dominance report", parents=[out])
     sp.add_argument("--b", type=int, required=True)
-    sp.set_defaults(handler=lambda args: cmd_arcs(args))
 
-    sp = sub.add_parser("validate", help="full invariant suite", parents=[out])
-    sp.set_defaults(handler=lambda args: cmd_validate(args))
+    sub.add_parser("validate", help="full invariant suite", parents=[out])
 
     sp = sub.add_parser("report", help="run every experiment at default scales")
     sp.add_argument("--out", required=True)
-    sp.set_defaults(handler=lambda args: cmd_report(args))
 
     return parser
 
@@ -662,7 +657,7 @@ def main(argv=None) -> int:
     args.cache_dir = _resolve_cache_dir(args)
     started = time.perf_counter()
     try:
-        report: RunReport = args.handler(args)
+        report: RunReport = _handler(args.command)(args)
         _emit(report, args, started)
     except (ValueError, OSError) as exc:  # OSError covers cache.CacheWriteError
         print(f"error: {exc}", file=sys.stderr)

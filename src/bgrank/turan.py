@@ -17,12 +17,10 @@ the classical one over the rationals, and its last member is g = gcd(p, p').
 p has deg p - deg g distinct complex roots, so one chain certifies
 hyperbolicity: p is hyperbolic iff the chain counts that many distinct real
 roots.  Onset scans (``_failures``) settle degrees 2 and 3 by the exact
-order-2 and order-3 inequalities (``turan_report``'s scans); at higher
-degree they first try a cheaper exact certificate, ``_signs_alternate``:
-signs that alternate at d - 1 points between the roots and, read off the
-leading coefficient, at -oo and +oo.  They build a chain only where it
-fails.  The renormalized-limit comparisons
-are floating point.
+order-2 and order-3 inequalities (``_turan_scan``); at higher degree they
+first try the cheaper exact certificate of ``_alternates`` and build a
+chain only where it fails.  The renormalized-limit comparisons are floating
+point.
 """
 
 from __future__ import annotations
@@ -360,7 +358,7 @@ def _hermite_probes(d: int) -> list[float]:
 
 
 def _float_gate(d: int, probes: Sequence[float]) -> float:
-    """The delta at or below which the certificate tries no float for these
+    """The delta at or below which ``_alternates`` tries no float for these
     d - 1 >= 1 probes of degree d.  Near the Hermite limit p(x_i) is about
     alpha(n) delta^d H_d(eta_i) and the bound of ``_float_signs`` about
     (4d + 10) u alpha(n) 2^d, so every point clears it only if
@@ -375,7 +373,7 @@ def _float_gate(d: int, probes: Sequence[float]) -> float:
 
 @functools.cache
 def _jensen_certificate(d: int) -> tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...], float]:
-    """What the certificate reads at every shift of degree d, made once: the
+    """What ``_alternates`` reads at every shift of degree d, made once: the
     weights binom(d, k), k = 0..d, as integers and as floats, the probes of
     ``_hermite_probes(d)`` and their ``_float_gate``."""
     binoms = tuple([math.comb(d, k) for k in range(d + 1)])
@@ -436,22 +434,30 @@ def _float_signs(fcs: Sequence[float], xs: Sequence[float]) -> list[int]:
     return signs
 
 
-def _alternates(window: Sequence[int], fwindow: Sequence[float], alpha: Sequence[int], cert: tuple) -> bool:
-    """``_signs_alternate`` for p = sum_k weights[k] window[k] X^k, where
-    ``cert`` holds the weights, their floats, ascending probes and their
-    gate, as ``_jensen_certificate`` does.  ``fwindow`` holds the window as
-    ``_floats`` makes it, and weight times window entry in float64 gives
-    the coefficients ``_float_signs`` is handed, tried only if delta > gate;
-    p's integer coefficients are formed only for a point that needs
-    ``_exact_sign``.
+def _alternates(window: Sequence[int], fwindow: Sequence[float], cert: tuple) -> bool:
+    """True only if p = sum_k binom(d, k) window[k] X^k, the Jensen
+    polynomial of alpha(n..n + d) with d >= 2, has d distinct real roots;
+    False means unsettled, not non-hyperbolic.  ``fwindow`` is
+    ``_floats(window)`` and ``cert`` is ``_jensen_certificate(d)``.
 
-    delta > 0 and e^-A > 0, so by monotone rounding the points do not
-    descend; two equal points carry equal signs, which fail to alternate,
-    and finite ends leave every point finite.
+    The recentring pair is read off window[:3], delta^2 = l1 - l2/2 and
+    A = l1 + delta^2 with l_k = log(alpha(n + k)/alpha(n)), and each probe
+    eta maps to the dyadic float x = (delta eta - 1)/e^A.  So recentred,
+    J^{d,n} tends to a multiple of H_d (Griffin-Ono-Rolen-Zagier), whose
+    zeros the probes separate.  The signs at -oo and +oo are (-1)^d sign(c_d)
+    and sign(c_d), read off the integer c_d, so signs that alternate from
+    -oo through the points to +oo give d sign changes: d distinct real roots
+    by the intermediate value theorem.  The points do not descend (delta > 0,
+    e^-A > 0, monotone rounding), and two equal ones carry equal signs, which
+    fail to alternate.  Each sign at a point is p's own: ``_float_signs`` on
+    weight times window entry in float64 where delta > gate (``_float_gate``),
+    else ``_exact_sign`` on p's integer coefficients, formed only then.  Left
+    unsettled: c_d = 0, an entry of window[:3] that is not positive, ratios
+    beyond float64 and points that are not finite.
     """
     weights, fweights, probes, gate = cert
     lead = weights[-1] * window[-1]
-    a0, a1, a2 = alpha
+    a0, a1, a2 = window[:3]
     if not lead or a0 <= 0 or a1 <= 0 or a2 <= 0:
         return False
     try:
@@ -480,35 +486,6 @@ def _alternates(window: Sequence[int], fwindow: Sequence[float], alpha: Sequence
     return True
 
 
-def _signs_alternate(coeffs: Sequence, alpha: Sequence[int], probes: Sequence[float]) -> bool:
-    """True only if the polynomial ``coeffs`` of degree at most d >= 2 has d
-    distinct real roots, shown by signs that strictly alternate at -oo, at
-    the d - 1 points the ``probes`` map to and at +oo; False means
-    unsettled, not non-hyperbolic.
-
-    The signs at -oo and +oo are (-1)^d sign(c_d) and sign(c_d), read off
-    the integer leading coefficient c_d, so a c_d of 0 leaves the polynomial
-    unsettled.  ``alpha`` holds the sequence at n, n + 1, n + 2; the
-    recentring pair is read off it, delta^2 = l1 - l2/2 and A = l1 + delta^2
-    with l_k = log(alpha(n + k)/alpha(n)), and each probe eta of the Hermite
-    limit maps to the float x = (delta eta - 1)/e^A, a dyadic rational.  A
-    Jensen polynomial recentred so tends to a multiple of H_d
-    (Griffin-Ono-Rolen-Zagier), so near the limit these points separate its
-    roots.  Signs that alternate at -oo, d - 1 increasing points and +oo
-    give d sign changes, hence d distinct real roots by the intermediate
-    value theorem.  Each sign at a point is p's own: ``_float_signs``
-    settles it where its bound allows (tried only past ``_float_gate``),
-    ``_exact_sign`` at the same x otherwise.  These leave the polynomial
-    unsettled too: a probe count other than d - 1 >= 1, probes that do not
-    ascend, an entry of ``alpha`` that is not positive, ratios beyond the
-    float range, and points that are not finite or not distinct.
-    """
-    p = [operator.index(c) for c in coeffs]  # TypeError off the integers, as in sturm_chain
-    if not 0 < len(probes) == len(p) - 2 or not all(map(operator.lt, probes, probes[1:])):
-        return False
-    return _alternates(p, _floats(p), alpha, ([1] * len(p), [1.0] * len(p), probes, _float_gate(len(p) - 1, probes)))
-
-
 def _failures(seq: Sequence[int], d: int, hi: int, inherited: frozenset[int]) -> Iterator[int]:
     """Every m with J^{d,m} not hyperbolic, from hi down to 0, or just hi
     when it fails, as it leaves no onset (none for hi < 0); seq[0..hi + d]
@@ -518,23 +495,18 @@ def _failures(seq: Sequence[int], d: int, hi: int, inherited: frozenset[int]) ->
     and a hyperbolic polynomial has a hyperbolic derivative (Rolle, the zero
     polynomial counted hyperbolic), so m + 1 in it makes m a failure with no
     check.  At d = 2 and 3 every shift is settled by its exact Turan
-    inequality (``turan_report``, order 2 at m + 1 and order 3 at m), with no
-    probe, float or chain; being exact, those failures already hold every
-    one Rolle passes on.  Down to the first failure, a shift of degree
-    d >= 4 tries the certificate of ``_signs_alternate``, which never
-    rejects: ``_alternates`` on the degree's weights, d - 1 probes and float
-    gate, made once (``_jensen_certificate``), with the signs at +-oo read
-    off c_d = alpha(m + d).  Every shift left unsettled gets the exact Sturm
-    verdict of ``is_hyperbolic``.  Below the first failure a shift goes
-    straight to its chain: there the certificate saves few chains and costs
-    more time than they take.
+    inequality (``_turan_scan``), with no probe, float or chain; being exact,
+    those failures already hold every one Rolle passes on.  Down to the
+    first failure, a shift of degree d >= 4 tries ``_alternates``, and every
+    shift it leaves unsettled gets the Sturm verdict of ``is_hyperbolic``.
+    Below the first failure a shift goes straight to its chain: there the
+    certificate saves few chains and costs more time than they take.
     """
     if hi < 0:
         return
     jensen_poly(seq, d, hi)  # jensen_poly's ValueError for a bad d or a short seq
     if d in (2, 3):
-        # J^{2,m} is hyperbolic iff order 2 holds at m + 1, J^{3,m} iff order 3
-        # at m; exact, so these hold every failure Rolle passes on
+        # J^{2,m} is hyperbolic iff order 2 holds at m + 1, J^{3,m} iff order 3 at m
         failed = [i + d - 3 for i in turan_report(seq, str(d), (3 - d, hi + 3 - d)).failures][::-1]
         yield from failed[:1] if failed[:1] == [hi] else failed
         return
@@ -544,7 +516,7 @@ def _failures(seq: Sequence[int], d: int, hi: int, inherited: frozenset[int]) ->
     for m in range(hi, -1, -1):
         if m + 1 in inherited or not (
             certify
-            and _alternates(seq[m : m + d + 1], fseq[m : m + d + 1], seq[m : m + 3], cert)
+            and _alternates(seq[m : m + d + 1], fseq[m : m + d + 1], cert)
             or is_hyperbolic(jensen_poly(seq, d, m))
         ):
             yield m
@@ -556,10 +528,8 @@ def _failures(seq: Sequence[int], d: int, hi: int, inherited: frozenset[int]) ->
 def hyperbolicity_onset(seq: Sequence[int], d: int, hi: int) -> int | None:
     """Smallest m0 >= 0 with J^{d,m} hyperbolic for every m in [m0, hi]; None
     if even m = hi fails or hi < 0: one more than the first failure of
-    ``_failures``, so each shift is settled exactly, at d = 2 and 3 by its
-    Turan inequality, at higher d by the certificate (signs at d - 1 points
-    and the leading coefficient's at +-oo) where it succeeds and by a Sturm
-    chain otherwise, and the onset is the Sturm-only scan's.
+    ``_failures``, whose verdicts are exact, so the onset is the Sturm-only
+    scan's.
     """
     m0 = next(_failures(seq, d, hi, frozenset()), -1) + 1
     return None if m0 > hi else m0

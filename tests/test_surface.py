@@ -34,7 +34,8 @@ def _fresh_python(code: str) -> dict:
 
 
 def _defined_names() -> set[str]:
-    """Public functions, classes and constants defined at module level."""
+    """Functions, classes and constants defined at module level, private
+    ones included."""
     defined = set()
     for path in MODULES:
         for node in ast.parse(path.read_text()).body:
@@ -44,7 +45,7 @@ def _defined_names() -> set[str]:
                 defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
             elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
                 defined.add(node.target.id)
-    return {name for name in defined if not name.startswith("_")}
+    return defined
 
 
 def _used_names(paths) -> set[str]:
@@ -81,13 +82,35 @@ def test_packaging_reads_the_version_without_importing_bgrank():
     assert got == {"version": bgrank.__version__, "imported": False}
 
 
+def _subcommand_handlers() -> set[str]:
+    """cmd_<name> for each subcommand the CLI parser adds: cli._handler
+    reads these by name."""
+    return {
+        f"cmd_{node.args[0].value}"
+        for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_parser"
+    }
+
+
 def test_every_public_definition_has_a_reader():
     # perfbench reads the package too (the cache priming check reads
     # inspect_cache_file); a name read by neither is dead weight
-    defined = _defined_names()
+    defined = {name for name in _defined_names() if not name.startswith("_")}
     assert AWAITING_A_CALLER <= defined
-    unread = defined - _used_names([*MODULES, *PERFBENCH.glob("*.py")]) - AWAITING_A_CALLER
+    # every subcommand runs a cmd_* of its name, and a cmd_* is read only so
+    handlers = _subcommand_handlers()
+    assert handlers <= defined
+    read = _used_names([*MODULES, *PERFBENCH.glob("*.py")]) | handlers
+    unread = defined - read - AWAITING_A_CALLER
     assert not unread, f"defined but never read in bgrank or perfbench: {sorted(unread)}"
+
+
+def test_every_private_definition_has_a_reader_in_the_package():
+    # a private helper that only the tests read is test code: it belongs in
+    # the tests, as an oracle, not in the package
+    private = {name for name in _defined_names() if name.startswith("_") and not name.startswith("__")}
+    unread = private - _used_names(MODULES)
+    assert not unread, f"private, and never read in bgrank: {sorted(unread)}"
 
 
 def test_series_keeps_no_state_but_the_p_and_p2_memos():

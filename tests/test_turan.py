@@ -1,7 +1,7 @@
 """Jensen/Sturm/Hermite machinery: exact certificates and float limits."""
 
+import itertools
 import math
-import operator
 import time
 from fractions import Fraction
 
@@ -13,12 +13,12 @@ from bgrank import turan
 from bgrank.series import p2_values, p_values, pbar_abn_table, pbar_abn_values
 from bgrank.turan import (
     TURAN_ORDERS,
+    _alternates,
     _distinct_real_roots,
     _exact_sign,
     _float_signs,
     _floats,
     _hermite_probes,
-    _signs_alternate,
     hermite,
     hermite_distance,
     hyperbolicity_onset,
@@ -529,25 +529,63 @@ def test_float_gate_is_set_by_the_interior_probes():
         assert turan._jensen_certificate(d) == (binoms, tuple(map(float, binoms)), tuple(probes), outer_gate)
 
 
+def _points(window):
+    """The d - 1 points at which _alternates reads the signs of J for a window
+    of d + 1 entries, recentred by its first three; None where the pair
+    (A, delta) is not defined in float64."""
+    a0, a1, a2 = window[:3]
+    if min(a0, a1, a2) <= 0:
+        return None
+    try:
+        l1, l2 = math.log(a1 / a0), math.log(a2 / a0)
+        d2 = l1 - l2 / 2
+        if not d2 > 0:
+            return None
+        delta, scale = math.sqrt(d2), math.exp(-(l1 + d2))
+    except (OverflowError, ValueError):
+        return None
+    return [(delta * eta - 1) * scale for eta in turan._jensen_certificate(len(window) - 1)[2]]
+
+
+def _certified(window):
+    """_alternates on a window as _failures hands it over: with the window's
+    floats and its degree's certificate."""
+    return _alternates(window, _floats(window), turan._jensen_certificate(len(window) - 1))
+
+
+def _alternates_exact(window):
+    """_alternates with every sign exact, at each point by rational
+    arithmetic on the binomial-weighted window and at +-oo c_d's: the
+    oracle."""
+    d = len(window) - 1
+    p, xs = jensen_poly(window, d, 0), _points(window)
+    if not p[-1] or xs is None or not all(map(math.isfinite, xs)) or xs != sorted(set(xs)):
+        return False
+    lead = (p[-1] > 0) - (p[-1] < 0)
+    signs = [(-1) ** d * lead, *(_sign_at(p, x) for x in xs), lead]
+    return all(u * v == -1 for u, v in zip(signs, signs[1:]))
+
+
 def test_certificate_settles_hyperbolic_jensen_polynomials(p2_seq):
-    probes = _hermite_probes(4)
-    assert _signs_alternate(jensen_poly(p2_seq, 4, 300), p2_seq[300:303], probes)
-    # d - 2 points between -oo and +oo would show only d - 1 roots, and the
-    # intermediate value theorem needs the points in increasing order
-    for wrong in (probes[1:], probes[::-1]):
-        assert not _signs_alternate(jensen_poly(p2_seq, 4, 300), p2_seq[300:303], wrong)
+    assert _certified(p2_seq[300:305])
     # J^{4,60} is not hyperbolic: unsettled, never rejected
-    assert not _signs_alternate(jensen_poly(p2_seq, 4, 60), p2_seq[60:63], probes)
+    assert not is_hyperbolic(jensen_poly(p2_seq, 4, 60))
+    assert not _certified(p2_seq[60:65])
 
 
 def test_certificate_reads_the_leading_coefficients_sign(p2_seq):
-    # -p has p's roots and the opposite sign at every point and at +-oo
+    # the signs at +-oo are c_d's: c_d > 0 on p2's windows; c_3 < 0 on
+    # (1, 2, 1, -1), whose J = 1 + 6X + 3X^2 - X^3 is +, -, +, - at -oo, the
+    # two points and +oo; and c_4 < 0 on (1, 2, 1, -5, -1), whose
+    # J = 1 + 8X + 6X^2 - 20X^3 - X^4 is -, +, -, +, - there, so at even d
+    # the sign at -oo is c_d's own
     for d in range(2, 7):
-        probes = _hermite_probes(d)
-        p = jensen_poly(p2_seq, d, 300)
-        assert _signs_alternate(p, p2_seq[300:303], probes)
-        assert _signs_alternate([-c for c in p], p2_seq[300:303], probes)
-        assert not _signs_alternate([-c for c in jensen_poly(p2_seq, d, 0)], p2_seq[0:3], probes)
+        assert _certified(p2_seq[300 : 301 + d])
+        assert not _certified(p2_seq[0 : 1 + d])
+    for window, signs in (([1, 2, 1, -1], [-1, 1]), ([1, 2, 1, -5, -1], [1, -1, 1])):
+        d = len(window) - 1
+        assert [_sign_at(jensen_poly(window, d, 0), x) for x in _points(window)] == signs
+        assert _certified(window) and is_hyperbolic(jensen_poly(window, d, 0))
 
 
 def test_degree2_certificate_has_one_probe(p2_seq):
@@ -555,138 +593,90 @@ def test_degree2_certificate_has_one_probe(p2_seq):
     # holds at m + 1, and the certificate settles the strict case
     assert _hermite_probes(2) == [0.0]
     for m in (0, 1, 4, 5, 300):
-        certified = _signs_alternate(jensen_poly(p2_seq, 2, m), p2_seq[m : m + 3], [0.0])
+        certified = _certified(p2_seq[m : m + 3])
         assert certified == (m not in (0, 4)) == turan_report(p2_seq, "2", (m + 1, m + 1)).holds
-        assert not _signs_alternate(jensen_poly(p2_seq, 2, m), p2_seq[m : m + 3], [])
-
-
-def _planted_quadratic(x1, x2, x3):
-    """(X - r1)(X - r2), r1 and r2 dyadic in (x1, x2) and (x2, x3), with
-    integer coefficients: signs +, -, + at x1 < x2 < x3."""
-    k = 1 + max(Fraction(x).denominator for x in (x1, x2, x3)).bit_length()
-    n1, n2 = (int((u + v) / 2 * 2**k) for u, v in ((x1, x2), (x2, x3)))
-    return [n1 * n2, -(n1 + n2) * 2**k, 4**k]
 
 
 def test_zero_leading_coefficient_is_never_settled(p2_seq, monkeypatch):
-    # padded to degree 4, (X - r1)(X - r2) has the signs +, -, + at the
-    # three points of J^{4,300}, the pattern four roots give with c_4 < 0;
-    # with c_4 = 0 it has two roots and is left unsettled
-    probes, alpha = _hermite_probes(4), p2_seq[300:303]
-    a0, a1, a2 = alpha
-    l1, l2 = math.log(a1 / a0), math.log(a2 / a0)
-    delta, scale = math.sqrt(l1 - l2 / 2), math.exp(-(l1 + l1 - l2 / 2))
-    xs = [(delta * eta - 1) * scale for eta in probes]
-    quadratic = _planted_quadratic(*xs)
-    assert [_sign_at(quadratic, x) for x in xs] == [1, -1, 1]
-    assert not _signs_alternate([*quadratic, 0, 0], alpha, probes)
+    # the window (1, 2, 1, 0) makes J = 1 + 6X + 3X^2, which is -, + at the
+    # two points of degree 3: the pattern three roots give with c_3 < 0.
+    # With c_3 = 0 it has two roots and is left unsettled, as is every
+    # (w0, w1, w2, 0) with entries 1..9; taking c_3 = 0 for c_3 < 0 settles
+    # 293 of those 729
+    window = [1, 2, 1, 0]
+    assert [_sign_at(jensen_poly(window, 3, 0), x) for x in _points(window)] == [-1, 1]
+    assert not _certified(window)
+    assert not any(_certified([*w, 0]) for w in itertools.product(range(1, 10), repeat=3))
     # a window with alpha(m + d) = 0: J^{4,300} loses its X^4 term, and the
     # onset scan settles it by its chain alone
     seq = list(p2_seq)
     seq[304] = 0
-    assert not _signs_alternate(jensen_poly(seq, 4, 300), seq[300:303], probes)
+    assert not _certified(seq[300:305])
     chains = _chain_spy(monkeypatch)
     assert hyperbolicity_onset(seq, 4, 300) == _sturm_onset(seq, 4, 300)
     assert chains[0] == jensen_poly(seq, 4, 300)
 
 
-# a degree-d list with c_d = 0: a Jensen polynomial of p2 with its top
-# coefficient zeroed, or any integers
-zero_lead = st.one_of(
-    st.tuples(st.integers(2, 6), st.integers(0, 400)).map(
-        lambda dm: ([*jensen_poly(p2_values(420), *dm)[:-1], 0], p2_values(420)[dm[1] : dm[1] + 3])
-    ),
-    st.tuples(
-        st.integers(2, 6).flatmap(lambda d: st.lists(st.integers(-(10**6), 10**6), min_size=d, max_size=d)),
+# a window of d + 1 entries, d = 2..6: the first three, which the pair
+# (A, delta) is read off, mostly positive as alpha is, the rest any integers
+windows = st.integers(2, 6).flatmap(
+    lambda d: st.tuples(
         st.lists(st.integers(-5, 10**6), min_size=3, max_size=3),
-    ).map(lambda ca: ([*ca[0], 0], ca[1])),
+        st.lists(st.integers(-(10**6), 10**6), min_size=d - 2, max_size=d - 2),
+    )
+).map(lambda parts: [*parts[0], *parts[1]])
+
+# a window ending in alpha(m + d) = 0, so c_d = 0: one of p2 or any integers
+zero_lead = st.one_of(
+    st.tuples(st.integers(2, 6), st.integers(0, 400)).map(lambda dm: [*p2_values(420)[dm[1] : dm[1] + dm[0]], 0]),
+    windows.map(lambda window: [*window[:-1], 0]),
 )
 
 
 @given(zero_lead)
 @settings(max_examples=300, deadline=None)
-def test_certificate_never_settles_a_zero_leading_coefficient(case):
-    coeffs, alpha = case
-    assert not _signs_alternate(coeffs, alpha, _hermite_probes(len(coeffs) - 1))
+def test_certificate_never_settles_a_zero_leading_coefficient(window):
+    assert not _certified(window)
 
 
-# a Jensen polynomial of p2 with each coefficient c moved to c + c t / 10^s,
-# |t| <= 50: s = 3 breaks most, s = 11 few, so both verdicts occur
+# a window of p2 with each entry a moved to a + a t / 10^s, |t| <= 50: s = 3
+# breaks most Jensen polynomials, s = 11 few, so both verdicts occur
 perturbed_jensen = st.tuples(st.integers(2, 6), st.integers(0, 400), st.integers(3, 11)).flatmap(
     lambda dms: st.tuples(st.just(dms), st.lists(st.integers(-50, 50), min_size=dms[0] + 1, max_size=dms[0] + 1))
 )
 
 
+def _perturbed(case):
+    (d, m, s), moves = case
+    return [a + a * t // 10**s for a, t in zip(p2_values(420)[m : m + d + 1], moves)]
+
+
 @given(perturbed_jensen)
 @settings(max_examples=300, deadline=None)
 def test_certificate_never_accepts_a_non_hyperbolic_perturbation(case):
-    (d, m, s), moves = case
-    seq = p2_values(420)
-    coeffs = [c + c * t // 10**s for c, t in zip(jensen_poly(seq, d, m), moves)]
-    if _signs_alternate(coeffs, seq[m : m + 3], _hermite_probes(d)):
-        assert is_hyperbolic(coeffs)
+    window = _perturbed(case)
+    if _certified(window):
+        assert is_hyperbolic(jensen_poly(window, len(window) - 1, 0))
 
 
-@given(
-    st.integers(2, 6).flatmap(lambda d: st.lists(st.integers(-(10**6), 10**6), min_size=d + 1, max_size=d + 1)),
-    st.lists(st.integers(-5, 10**6), min_size=3, max_size=3),
-)
+@given(windows)
 @settings(max_examples=300, deadline=None)
-def test_certificate_never_accepts_a_non_hyperbolic_polynomial(coeffs, alpha):
-    if _signs_alternate(coeffs, alpha, _hermite_probes(len(coeffs) - 1)):
-        assert is_hyperbolic(coeffs)
-
-
-def _signs_alternate_exact(coeffs, alpha, probes):
-    """_signs_alternate with every sign at a point by exact integer Horner,
-    and c_d's at +-oo: the oracle."""
-    p = [operator.index(c) for c in coeffs]
-    a0, a1, a2 = alpha
-    if not p or p[-1] == 0 or a0 <= 0 or a1 <= 0 or a2 <= 0:
-        return False
-    try:
-        l1, l2 = math.log(a1 / a0), math.log(a2 / a0)
-        d2 = l1 - l2 / 2
-        if not d2 > 0:
-            return False
-        delta, scale = math.sqrt(d2), math.exp(-(l1 + d2))
-        xs = [(delta * eta - 1) * scale for eta in probes]
-    except (OverflowError, ValueError):
-        return False
-    ascending = all(u < v for u, v in zip(xs, xs[1:]))
-    if not 0 < len(xs) == len(p) - 2 or not ascending or not all(map(math.isfinite, xs)):
-        return False
-    d, lead = len(p) - 1, (p[-1] > 0) - (p[-1] < 0)
-    signs = [(-1) ** d * lead]
-    for x in xs:
-        num, den = x.as_integer_ratio()
-        acc, power = p[-1], 1
-        for c in reversed(p[:-1]):
-            power *= den
-            acc = acc * num + c * power
-        signs.append((acc > 0) - (acc < 0))
-    signs.append(lead)
-    return all(u * v == -1 for u, v in zip(signs, signs[1:]))
+def test_certificate_never_accepts_a_non_hyperbolic_polynomial(window):
+    if _certified(window):
+        assert is_hyperbolic(jensen_poly(window, len(window) - 1, 0))
 
 
 @given(perturbed_jensen)
 @settings(max_examples=300, deadline=None)
 def test_certificate_equals_the_exact_only_oracle_on_perturbations(case):
-    (d, m, s), moves = case
-    seq = p2_values(420)
-    coeffs = [c + c * t // 10**s for c, t in zip(jensen_poly(seq, d, m), moves)]
-    probes = _hermite_probes(d)
-    assert _signs_alternate(coeffs, seq[m : m + 3], probes) == _signs_alternate_exact(coeffs, seq[m : m + 3], probes)
+    window = _perturbed(case)
+    assert _certified(window) == _alternates_exact(window)
 
 
-@given(
-    st.integers(2, 6).flatmap(lambda d: st.lists(st.integers(-(10**6), 10**6), min_size=d + 1, max_size=d + 1)),
-    st.lists(st.integers(-5, 10**6), min_size=3, max_size=3),
-)
+@given(windows)
 @settings(max_examples=300, deadline=None)
-def test_certificate_equals_the_exact_only_oracle_on_any_polynomial(coeffs, alpha):
-    probes = _hermite_probes(len(coeffs) - 1)
-    assert _signs_alternate(coeffs, alpha, probes) == _signs_alternate_exact(coeffs, alpha, probes)
+def test_certificate_equals_the_exact_only_oracle_on_any_polynomial(window):
+    assert _certified(window) == _alternates_exact(window)
 
 
 def _sign_at(coeffs, x):
@@ -748,13 +738,8 @@ def test_float_signs_agree_with_exact_on_jensen_polynomials():
     settled = points = 0
     for seq in (p2_values(1020), p_values(1020)):
         for d in range(2, 15):
-            probes = _hermite_probes(d)
             for m in range(30, 1000, 7):  # both log-concave from m = 26
-                a0, a1, a2 = seq[m : m + 3]
-                l1, l2 = math.log(a1 / a0), math.log(a2 / a0)
-                d2 = l1 - l2 / 2
-                delta, scale = math.sqrt(d2), math.exp(-(l1 + d2))
-                xs = [(delta * eta - 1) * scale for eta in probes]
+                xs = _points(seq[m : m + d + 1])
                 p = jensen_poly(seq, d, m)
                 points += len(xs)
                 for x, sign in zip(xs, _float_signs(_floats(p), xs)):
@@ -810,7 +795,7 @@ def test_onset_of_non_integer_sequences_raises_type_error(p2_seq):
         with pytest.raises(TypeError):
             onset_atlas(seq, 4, 30)
         with pytest.raises(TypeError):
-            _signs_alternate(jensen_poly(seq, 3, 30), seq[30:33], _hermite_probes(3))
+            _certified(seq[30:34])
     # turan_report takes integers only, as the onset scan does: float entries
     # compare inexactly, and a float square leaves float64 from p2(10289)
     hand = [1.0, 2.0, 3.0, 3.5, 3.9]
