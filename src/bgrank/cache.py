@@ -14,11 +14,14 @@ that ``bgrank table`` prints.  Writes are atomic (rename-on-write).
 The loader reads the file as bytes and serves it only if three checks pass:
 it starts with exactly the magic and meta lines the request would write, its
 data block matches the checksum, and the block is n_max + 1 rows ``n,value``
-in canonical base 10.  A hit then hands out the verified block itself as
-the table's text, and the table parses its values from it only when they are
-read (JSON output, library callers, ``validate``); a CSV hit prints the block
+in canonical base 10.  A hit holds the file's bytes once and makes three
+passes over them: SHA-256 through a memoryview of the block, the digit
+skeleton of the whole file, and one regex scan that yields the n column
+(``_rows_ok``); then it decodes the block from the same view as the table's
+text, and the table parses its values from it only when they are read (JSON
+output, library callers, ``validate``); a CSV hit prints the block
 unchanged.  ``inspect_cache_file`` reads the request from a file's own meta
-line and puts the file through the same check.
+line and puts the same bytes through the same check.
 Anything else -- a missing or unreadable file, another request, tool version
 or file format, a corrupt byte, a malformed row -- returns None with a
 reason code so the caller recomputes.  Corrupt or stale data is never served.
@@ -94,21 +97,24 @@ def inspect_cache_file(path) -> StatTable | None:
     """The table a cache file holds, read back through load_table's check;
     None unless its meta line names a kind, params and n_max of the types
     save_table writes (a bool is never a count) and the file verifies as
-    what save_table writes for them."""
-    path = Path(path)
+    what save_table writes for them.  The file is read once: the meta line
+    is parsed from the bytes the check then verifies."""
+    content = _read(Path(path))
+    if isinstance(content, str):
+        return None
+    start = content.find(b"\n") + 1
     try:
-        with path.open("rb") as fh:
-            fh.readline()
-            # a wrong prefix fails to parse here or fails the header check below
-            meta = json.loads(fh.readline()[len(_META) :])
-    except (OSError, ValueError, RecursionError):  # RecursionError: nesting too deep
+        # a wrong prefix or a missing newline fails to parse here or fails
+        # the header check below
+        meta = json.loads(content[start + len(_META) : content.find(b"\n", start)])
+    except (ValueError, RecursionError):  # RecursionError: nesting too deep
         return None
     if not isinstance(meta, dict) or not isinstance(meta.get("params"), dict):
         return None
     counts = [meta.get("n_max"), *meta["params"].values()]
     if type(meta.get("kind")) is not str or not all(type(v) is int for v in counts):
         return None
-    found = _verified(path, meta["kind"], meta["params"], meta["n_max"])
+    found = _verified(content, meta["kind"], meta["params"], meta["n_max"])
     return found if isinstance(found, StatTable) else None
 
 
@@ -151,49 +157,83 @@ def save_table(directory, table: StatTable) -> Path:
 
 
 _DIGITS = b"0123456789"
-# each comma starts a value: this finds an empty one or one with a leading zero
-_BAD_VALUE = re.compile(rb",(?:\n|0[0-9])")
+# the n of each row whose value is canonical: one or more digits, and no
+# leading zero; a row with an empty or padded value yields nothing
+_N_OF_CANONICAL_ROW = re.compile(rb"\n([0-9]+),(?!\n|0[0-9])")
 
 
-def _rows_ok(data: bytes, n_max: int) -> bool:
-    """Whether ``data`` is a data block save_table writes: the line
-    ``n,value``, then for n = 0..n_max the line ``n,<value>``, both fields in
-    canonical base 10 (one or more digits, no sign, space, underscore or
-    leading zero), and nothing after the last newline.  Everything ``int()``
-    would accept but a verbatim print would show differently is rejected."""
+def _n_column(rows: int) -> bytes:
+    """``b"%d\\n" * rows % tuple(range(rows))`` for rows >= 1, the n column
+    of a block, built a digit width at a time instead of a row at a time."""
+    column, tails, low, width = [b"0\n"], b"\n", 1, 1
+    while low < rows:
+        # n = low..hi - 1 has ``width`` digits: a leading digit d, then one of
+        # the tails, every (width - 1)-digit string zero-padded in order;
+        # one replace puts d in front of all of them
+        hi = min(rows, 10 * low)
+        blocks = [b"%d" % d + tails[:-1].replace(b"\n", b"\n%d" % d) + b"\n" for d in range((hi - 1) // low + 1)]
+        column.append(b"".join(blocks[1:])[: (width + 1) * (hi - low)])
+        tails, low, width = b"".join(blocks), 10 * low, width + 1
+    return b"".join(column)
+
+
+def _rows_ok(content: bytes, start: int, n_max: int) -> bool:
+    """Whether the data block ``content[start:]`` is one save_table writes:
+    the line ``n,value``, then for n = 0..n_max the line ``n,<value>``, both
+    fields in canonical base 10 (one or more digits, no sign, space,
+    underscore or leading zero), and nothing after the last newline.
+    Everything ``int()`` would accept but a verbatim print would show
+    differently is rejected.  ``content[:start]`` is the verified head.
+
+    Two passes over the file, and no copy of the block.  First the digit
+    skeleton (``translate`` deletes every digit) must be the head's, then
+    ``n,value`` and one ``,\\n`` per row: so each row is two runs of digits,
+    either maybe empty, split by one comma.  The skeleton cannot see digits
+    after the last newline; the final-newline test refuses them.  Then one
+    ``findall`` yields a row's n only when its value is canonical, and that
+    column must be exactly 0..n_max: an empty or padded field or a
+    misplaced row leaves it short or out of order."""
     rows = n_max + 1
-    header = b"n,value\n"
     # a row takes at least 4 bytes, so an n_max read from a file header never
     # sizes the expected block past the file itself, and a table has a row 0
-    if n_max < 0 or 4 * rows > len(data) or not data.startswith(header):
+    if n_max < 0 or 4 * rows > len(content) - start:
         return False
-    if data.translate(None, _DIGITS) != header + b",\n" * rows:
+    # the skeleton below cannot see digits after the last newline
+    if not content.startswith(b"n,value\n", start) or not content.endswith(b"\n"):
         return False
-    # every row is now <digits>,<digits>: after "n" and "value" the fields
-    # alternate n and value, and end with "" after the last newline
-    n_column = b"\n".join(data.replace(b"\n", b",").split(b",")[2::2])
-    return _BAD_VALUE.search(data) is None and n_column == b"%d\n" * rows % tuple(range(rows))
+    skeleton = content[:start].translate(None, _DIGITS) + b"n,value\n" + b",\n" * rows
+    if content.translate(None, _DIGITS) != skeleton:
+        return False
+    found = _N_OF_CANONICAL_ROW.findall(content, start)
+    found.append(b"")
+    return b"\n".join(found) == _n_column(rows)
 
 
-def _verified(path: Path, kind: str, params: dict, n_max: int) -> StatTable | str:
-    """The table in ``path`` if the file is what save_table writes for this
-    request; otherwise the reason code why not."""
+def _read(path: Path) -> bytes | str:
+    """The bytes of ``path``, or the reason code why they cannot be read."""
     try:
-        content = path.read_bytes()
+        return path.read_bytes()
     except FileNotFoundError:
         return "missing"
     except OSError:
         return "unreadable"
+
+
+def _verified(content: bytes, kind: str, params: dict, n_max: int) -> StatTable | str:
+    """The table in ``content`` if it is the file save_table writes for this
+    request; otherwise the reason code why not.  The data block is never
+    copied: the checksum reads it through a memoryview and the served text
+    is decoded from the same view."""
     header = _header(kind, params, n_max).encode("ascii")
     if not content.startswith(header):
         return "header"
     start = len(header) + len(_SHA) + 65  # past the sha line: 64 hex digits and "\n"
-    data = content[start:]
+    data = memoryview(content)[start:]
     if content[len(header) : start] != f"{_SHA}{hashlib.sha256(data).hexdigest()}\n".encode("ascii"):
         return "checksum"
-    if not _rows_ok(data, n_max):
+    if not _rows_ok(content, start, n_max):
         return "rows"
-    return StatTable._from_csv(kind, dict(params), data.decode("ascii"), n_max)
+    return StatTable._from_csv(kind, dict(params), str(data, "ascii"), n_max)
 
 
 def load_table(
@@ -209,7 +249,9 @@ def load_table(
     n_max + 1 canonical rows).
     """
     path = Path(directory) / cache_filename(kind, params, n_max)
-    found = _verified(path, kind, params, n_max)
+    found = _read(path)
+    if isinstance(found, bytes):
+        found = _verified(found, kind, params, n_max)
     if isinstance(found, StatTable):
         return found
     if reject is not None:

@@ -290,6 +290,33 @@ def test_save_table_copies_the_data_block_once(tmp_path):
     assert size <= peak < 1.5 * size
 
 
+def test_load_table_holds_the_file_about_once(tmp_path):
+    # the file's bytes and the decoded text; the row check copies no block
+    table = p_table(5000)
+    size = len(table.csv)
+    save_table(tmp_path, table)
+    tracemalloc.start()
+    try:
+        back = load_table(tmp_path, "p", {}, 5000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.csv == table.csv
+    assert peak < 4 * size
+
+
+def test_expected_n_column_is_every_n_formatted():
+    # every width from one row up, each side of each power of ten, and each
+    # table cap's row count
+    sizes = [
+        *range(1, 1201),
+        *(10**k + e for k in range(1, 7) for e in (-1, 0, 1)),
+        *(entry[-1] + 1 for entry in cli._STATS.values()),
+    ]
+    for rows in sizes:
+        assert cache._n_column(rows) == b"%d\n" * rows % tuple(range(rows)), rows
+
+
 def test_cache_concurrent_readers(tmp_path):
     table = p_table(200)
     save_table(tmp_path, table)
@@ -351,54 +378,59 @@ def test_cache_refuses_a_negative_n_max(tmp_path):
     assert inspect_cache_file(path) is None
 
 
+_P = ("--stat", "p")
+_PBAR_AB = ("--stat", "pbar-ab", "--j", "0", "--a", "1", "--b", "5")
+
+
 @pytest.mark.parametrize(
-    "old, new",
+    "stat, old, new",
     [
-        ("\n5,7\n", "\n5,07\n"),
-        ("\n5,7\n", "\n5,+7\n"),
-        ("\n10,42\n", "\n10,4_2\n"),
-        ("\n5,7\n", "\n5, 7\n"),
-        ("\n5,7\n", "\n5,-7\n"),
-        ("\n5,7\n", "\n5,\n"),
-        ("\n5,7\n", "\n57\n"),
-        ("\n5,7\n", "\n5,7,7\n"),
-        ("\n5,7\n", "\n05,7\n"),
-        ("\n5,7\n", "\n5,7\r\n"),
-        ("\n5,7\n6,11\n", "\n6,11\n5,7\n"),
-        ("\n12,77\n", "\n"),
-        ("\n12,77\n", "\n12,77\n\n"),
-    ],
-    ids=[
-        "leading-zero",
-        "plus-sign",
-        "underscore",
-        "space",
-        "minus-sign",
-        "empty-value",
-        "no-comma",
-        "two-commas",
-        "n-leading-zero",
-        "carriage-return",
-        "rows-swapped",
-        "row-missing",
-        "blank-line-at-end",
+        pytest.param(_P, "\n5,7\n", "\n5,07\n", id="leading-zero"),
+        pytest.param(_P, "\n5,7\n", "\n5,+7\n", id="plus-sign"),
+        pytest.param(_P, "\n10,42\n", "\n10,4_2\n", id="underscore"),
+        pytest.param(_P, "\n5,7\n", "\n5, 7\n", id="space"),
+        pytest.param(_P, "\n5,7\n", "\n5,-7\n", id="minus-sign"),
+        pytest.param(_P, "\n5,7\n", "\n5,\n", id="empty-value"),
+        pytest.param(_P, "\n5,7\n", "\n57\n", id="no-comma"),
+        pytest.param(_P, "\n5,7\n", "\n5,7,7\n", id="two-commas"),
+        pytest.param(_P, "\n5,7\n", "\n05,7\n", id="n-leading-zero"),
+        pytest.param(_P, "\n5,7\n", "\n5,7\r\n", id="carriage-return"),
+        pytest.param(_P, "\n5,7\n6,11\n", "\n6,11\n5,7\n", id="rows-swapped"),
+        pytest.param(_P, "\n12,77\n", "\n", id="row-missing"),
+        pytest.param(_P, "\n12,77\n", "\n12,77\n\n", id="blank-line-at-end"),
+        # the digit skeleton cannot see these: the final-newline test, the
+        # value lookahead or the n column must
+        pytest.param(_P, "\n12,77\n", "\n12,77\n5", id="digits-after-last-newline"),
+        pytest.param(_P, "n,value\n0,1\n", "n,value\n0,\n", id="empty-value-row-0"),
+        pytest.param(_P, "n,value\n0,1\n", "n,value\n0,01\n", id="leading-zero-row-0"),
+        pytest.param(_P, "\n12,77\n", "\n12,\n", id="empty-value-last-row"),
+        pytest.param(_P, "\n12,77\n", "\n12,077\n", id="leading-zero-last-row"),
+        pytest.param(_P, "\n9,30\n10,42\n", "\n10,42\n9,30\n", id="rows-9-10-swapped"),
+        # a meta line with commas: the head is not part of the row scan
+        pytest.param(_PBAR_AB, "\n12,13\n", "\n12,13\n5", id="pbar-ab-digits-after-last-newline"),
+        pytest.param(_PBAR_AB, "n,value\n0,0\n", "n,value\n0,\n", id="pbar-ab-empty-value-row-0"),
+        pytest.param(_PBAR_AB, "n,value\n0,0\n", "n,value\n0,00\n", id="pbar-ab-leading-zero-row-0"),
+        pytest.param(_PBAR_AB, "\n12,13\n", "\n12,\n", id="pbar-ab-empty-value-last-row"),
+        pytest.param(_PBAR_AB, "\n12,13\n", "\n12,013\n", id="pbar-ab-leading-zero-last-row"),
+        pytest.param(_PBAR_AB, "\n9,0\n10,7\n", "\n10,7\n9,0\n", id="pbar-ab-rows-9-10-swapped"),
     ],
 )
-def test_cache_rejects_forged_rows(tmp_path, capsys, old, new):
+def test_cache_rejects_forged_rows(tmp_path, capsys, stat, old, new):
     # header and SHA-256 line are right, one row is not: int() would read
     # most of these back, but printing the block verbatim would show them
-    argv = ["--cache-dir", str(tmp_path), "table", "--stat", "p", "--n-max", "12"]
+    argv = ["--cache-dir", str(tmp_path), "table", *stat, "--n-max", "12"]
     assert main(argv) == 0
     printed = capsys.readouterr().out
     (path,) = tmp_path.iterdir()
     original = path.read_bytes()
+    table = inspect_cache_file(path)
     magic, meta, _, data = original.decode("ascii").split("\n", 3)
     assert data == printed and data.count(old) == 1
     data = data.replace(old, new)
     digest = hashlib.sha256(data.encode("ascii")).hexdigest()
     path.write_bytes(f"{magic}\n{meta}\n# sha256 {digest}\n{data}".encode("ascii"))
     reasons = []
-    assert load_table(tmp_path, "p", {}, 12, reject=lambda path, why: reasons.append(why)) is None
+    assert load_table(tmp_path, table.kind, table.params, 12, reject=lambda path, why: reasons.append(why)) is None
     assert reasons == ["rows"]
     assert main(argv) == 0
     assert capsys.readouterr().out == printed

@@ -1,4 +1,5 @@
-"""Mutants of the exact-verdict code: each one must fail a named test.
+"""Mutants of the exact-verdict and cache-check code: each one must fail a
+named test.
 
     python tools/mutants.py
 
@@ -37,6 +38,8 @@ class Mutant(NamedTuple):
 
 TURAN = "src/bgrank/turan.py"
 TURAN_TESTS = "tests/test_turan.py"
+CACHE = "src/bgrank/cache.py"
+CACHE_TESTS = "tests/test_cache_cli.py"
 
 MUTANTS = (
     Mutant(
@@ -83,6 +86,34 @@ MUTANTS = (
         "    p, want = None, 1 if (lead > 0) == (len(window) % 2 == 0) else -1",
         "    p, want = None, -1 if (lead > 0) == (len(window) % 2 == 0) else 1",
         (f"{TURAN_TESTS}::test_onset_builds_few_chains",),
+    ),
+    Mutant(
+        "final-newline-test-dropped",
+        CACHE,
+        r'    if not content.startswith(b"n,value\n", start) or not content.endswith(b"\n"):',
+        r'    if not content.startswith(b"n,value\n", start):',
+        (f"{CACHE_TESTS}::test_cache_rejects_forged_rows",),
+    ),
+    Mutant(
+        "value-lookahead-dropped",
+        CACHE,
+        r'rb"\n([0-9]+),(?!\n|0[0-9])"',
+        r'rb"\n([0-9]+),"',
+        (f"{CACHE_TESTS}::test_cache_rejects_forged_rows",),
+    ),
+    Mutant(
+        "last-digit-block-one-byte-long",
+        CACHE,
+        "[: (width + 1) * (hi - low)]",
+        "[: (width + 1) * (hi - low) + 1]",
+        (f"{CACHE_TESTS}::test_expected_n_column_is_every_n_formatted",),
+    ),
+    Mutant(
+        "pentagonal-offset-off-by-one",
+        "src/bgrank/series.py",
+        "        dst += (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)",
+        "        dst += (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2 + 1)",
+        ("tests/test_series.py::test_p_values_pentagonal",),
     ),
 )
 
