@@ -2,8 +2,11 @@
 deterministic multi-experiment report with an on-disk table cache.
 
 Exit codes: 0 success, 1 a validation check failed, 2 argument/environment
-error.  Serialized outputs are byte-deterministic for a given argv and cache
-state; wall times go to stderr only.
+error.  Every command but ``report`` prints its output to stdout, in the
+``--format`` asked for; ``report --out DIR`` writes each experiment's CSV and
+JSON files into DIR and prints none.  Serialized outputs are byte-deterministic
+for a given argv and cache state; checks, cache events and wall times go to
+stderr only.
 
 The argument parser is built once per process; ``main`` and ``report``'s jobs
 both read argv through ``parse_args``.
@@ -98,7 +101,12 @@ def _resolve_cache_dir(args) -> Path | None:
     if env:
         return Path(env)
     base = os.environ.get("XDG_CACHE_HOME")
-    root = Path(base) if base else Path.home() / ".cache"
+    try:
+        root = Path(base) if base else Path.home() / ".cache"
+    except RuntimeError as exc:  # HOME is unset and the uid has no passwd entry
+        raise ValueError(
+            f"no home directory for the cache: pass --cache-dir or --no-cache, or set ${CACHE_ENV} or $XDG_CACHE_HOME"
+        ) from exc
     return root / "bgrank"
 
 
@@ -580,48 +588,44 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--out", default=None)
 
-    sp = sub.add_parser("table", help="exact counting tables", parents=[out])
+    sp = sub.add_parser("table", help="exact counting tables")
     sp.add_argument("--stat", choices=tuple(_STATS), required=True)
     sp.add_argument("--j", type=int, default=None)
     sp.add_argument("--a", type=int, default=None)
     sp.add_argument("--b", type=int, default=None)
-    sp.add_argument("--n-max", type=int, required=True, dest="n_max")
+    sp.add_argument("--n-max", type=int, required=True)
 
-    sp = sub.add_parser("joint", help="bivariate (rank, size) table", parents=[out])
+    sp = sub.add_parser("joint", help="bivariate (rank, size) table")
     sp.add_argument("--j", type=int, required=True)
-    sp.add_argument("--n-max", type=int, required=True, dest="n_max")
+    sp.add_argument("--n-max", type=int, required=True)
 
-    sp = sub.add_parser("equidist", help="residue-class ratios b*count/total", parents=[out])
+    sp = sub.add_parser("equidist", help="residue-class ratios b*count/total")
     sp.add_argument("--j", type=int, required=True)
     sp.add_argument("--b", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
 
-    sp = sub.add_parser("asympt", help="empirical leading-constant fit", parents=[out])
-    sp.add_argument("--n-list", type=_parse_n_list, required=True, dest="n_list")
+    sp = sub.add_parser("asympt", help="empirical leading-constant fit")
+    sp.add_argument("--n-list", type=_parse_n_list, required=True)
     sp.add_argument("--b", type=int, default=1)
 
-    sp = sub.add_parser("jensen", help="Jensen polynomial of the pair-count sequence", parents=[out])
+    sp = sub.add_parser("jensen", help="Jensen polynomial of the pair-count sequence")
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--renormalized", action="store_true")
 
-    sp = sub.add_parser("turan", help="inequality scans over the pair-count sequence", parents=[out])
+    sp = sub.add_parser("turan", help="inequality scans over the pair-count sequence")
     sp.add_argument("--order", choices=tuple(TURAN_ORDERS), required=True)
     sp.add_argument("--range", type=_parse_range, required=True)
 
-    sp = sub.add_parser(
-        "onset", help="per-degree onset of Jensen hyperbolicity of the pair counts", parents=[out]
-    )
-    sp.add_argument("--max-degree", type=int, default=5, dest="max_degree")
+    sp = sub.add_parser("onset", help="per-degree onset of Jensen hyperbolicity of the pair counts")
+    sp.add_argument("--max-degree", type=int, default=5)
     sp.add_argument("--hi", type=int, default=500)
 
-    sp = sub.add_parser("arcs", help="arc-dominance report", parents=[out])
+    sp = sub.add_parser("arcs", help="arc-dominance report")
     sp.add_argument("--b", type=int, required=True)
 
-    sub.add_parser("validate", help="full invariant suite", parents=[out])
+    sub.add_parser("validate", help="full invariant suite")
 
     sp = sub.add_parser("report", help="run every experiment at default scales")
     sp.add_argument("--out", required=True)
@@ -636,11 +640,7 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 def _emit(report: RunReport, args, started: float) -> None:
     if report.command != "report":  # report writes its own files
-        text = report.to_csv_text() if args.fmt == "csv" else report.to_json_text()
-        if args.out:
-            Path(args.out).write_text(text, encoding="ascii")
-        else:
-            sys.stdout.write(text)
+        sys.stdout.write(report.to_csv_text() if args.fmt == "csv" else report.to_json_text())
     # the wall time covers the handler and rendering and writing its text
     wall_s = time.perf_counter() - started
     for check in report.checks:
@@ -654,9 +654,9 @@ def main(argv=None) -> int:
         args = parse_args(argv)
     except SystemExit as exc:  # argparse has printed usage or --help/--version
         return exc.code
-    args.cache_dir = _resolve_cache_dir(args)
     started = time.perf_counter()
     try:
+        args.cache_dir = _resolve_cache_dir(args)
         report: RunReport = _handler(args.command)(args)
         _emit(report, args, started)
     except (ValueError, OSError) as exc:  # OSError covers cache.CacheWriteError

@@ -9,6 +9,7 @@ import importlib.util
 import inspect
 import io
 import json
+import pwd
 import re
 import threading
 import time
@@ -454,11 +455,10 @@ def test_cache_csv_hit_never_parses_ints(tmp_path, capsys, monkeypatch):
 # CLI
 
 
-def test_cli_table_pbar(tmp_path, capsys):
-    out = tmp_path / "t.csv"
-    code = main(["--no-cache", "table", "--stat", "pbar", "--j", "0", "--n-max", "12", "--out", str(out)])
+def test_cli_table_pbar(capsys):
+    code = main(["--no-cache", "table", "--stat", "pbar", "--j", "0", "--n-max", "12"])
     assert code == 0
-    lines = out.read_text().strip().split("\n")
+    lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "n,value"
     assert lines[-1] == "12,65"
 
@@ -474,20 +474,11 @@ def test_cli_table_built_check_can_fail(monkeypatch, capsys, build, detail):
     assert f"[table] FAIL table-built  {detail}\n" in capsys.readouterr().err
 
 
-def test_cli_table_json_format(tmp_path):
-    out = tmp_path / "t.json"
-    code = main(
-        ["--no-cache", "--format", "json", "table", "--stat", "p2", "--n-max", "6", "--out", str(out)]
-    )
-    assert code == 0
-    doc = json.loads(out.read_text())
-    assert doc["rows"][-1] == {"n": 6, "value": 65}
-
-
-def test_cli_table_json_format_to_stdout(capsys):
-    assert main(["--no-cache", "--format", "json", "table", "--stat", "p", "--n-max", "5"]) == 0
+@pytest.mark.parametrize("stat, n_max, last", [("p2", 6, 65), ("p", 5, 7)])
+def test_cli_table_json_format(stat, n_max, last, capsys):
+    assert main(["--no-cache", "--format", "json", "table", "--stat", stat, "--n-max", str(n_max)]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["rows"][-1] == {"n": 5, "value": 7}
+    assert doc["rows"][-1] == {"n": n_max, "value": last}
 
 
 def test_cli_equidist_exact_ones(capsys):
@@ -997,6 +988,28 @@ def test_cli_default_cache_dir_is_under_home(tmp_path, monkeypatch, capsys):
     assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
 
 
+def test_cli_without_a_home_directory_exits_2(monkeypatch, capsys):
+    # with no cache setting the cache lives under ~, which a process with no
+    # HOME and no passwd entry for its uid does not have: an environment error
+    monkeypatch.delenv("HOME", raising=False)
+    for name in ("BGRANK_CACHE_DIR", "XDG_CACHE_HOME"):
+        monkeypatch.delenv(name, raising=False)
+
+    def no_entry(uid):
+        raise KeyError(f"getpwuid(): uid not found: {uid}")
+
+    monkeypatch.setattr(pwd, "getpwuid", no_entry)
+    assert main(["table", "--stat", "p", "--n-max", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: no home directory for the cache: pass --cache-dir or --no-cache, "
+        "or set $BGRANK_CACHE_DIR or $XDG_CACHE_HOME\n"
+    )
+    assert main(["--no-cache", "table", "--stat", "p", "--n-max", "5"]) == 0
+    assert capsys.readouterr().out.endswith("\n5,7\n")
+
+
 def test_cli_validate(capsys):
     assert main(["--no-cache", "validate"]) == 0
 
@@ -1181,10 +1194,9 @@ def test_cli_report_failed_job_exits_1(monkeypatch, tmp_path, capsys):
     assert "[report] FAIL arcs_b5  \n" in err and "[report] ok   validate  \n" in err
 
 
-def test_cli_joint(tmp_path):
-    out = tmp_path / "j.csv"
-    assert main(["--no-cache", "joint", "--j", "0", "--n-max", "6", "--out", str(out)]) == 0
-    lines = out.read_text().strip().split("\n")
+def test_cli_joint(capsys):
+    assert main(["--no-cache", "joint", "--j", "0", "--n-max", "6"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "n,m,count"
     assert "4,-2,1" in lines and "4,2,1" in lines
 
@@ -1196,10 +1208,9 @@ def test_cli_joint_collapse_check_can_fail(monkeypatch, capsys):
     assert "[joint] FAIL collapse-to-rank-count  row sums match the univariate table\n" in capsys.readouterr().err
 
 
-def test_cli_asympt(tmp_path):
-    out = tmp_path / "a.csv"
-    assert main(["--no-cache", "asympt", "--n-list", "100,200,400", "--out", str(out)]) == 0
-    rows = out.read_text().strip().split("\n")
+def test_cli_asympt(capsys):
+    assert main(["--no-cache", "asympt", "--n-list", "100,200,400"]) == 0
+    rows = capsys.readouterr().out.strip().split("\n")
     assert rows[0] == "n,count,R,dist_direct,dist_printed"
     assert len(rows) == 4
     assert main(["--no-cache", "asympt", "--n-list", "101"]) == 2  # odd n rejected
@@ -1345,6 +1356,35 @@ def test_cli_output_bytes_are_pinned(capsys, argv, code, csv_digest, json_digest
     for fmt, digest in (("csv", csv_digest), ("json", json_digest)):
         assert main(["--no-cache", "--format", fmt, *argv.split()]) == code
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, fmt
+
+
+def test_only_report_takes_out(tmp_path, capsys):
+    # every other command prints to stdout, its one output; argparse refuses
+    # --out there before any handler runs
+    (sub,) = [a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    argvs = {argv.split()[0]: argv for argv, code, *_ in _PINNED_OUTPUT if code != 2}
+    argvs["validate"] = "validate"
+    assert set(argvs) == set(sub.choices) - {"report"}
+    for command, argv in sorted(argvs.items()):
+        target = tmp_path / command
+        assert main(["--no-cache", *argv.split(), "--out", str(target)]) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == "", command
+        assert captured.err.startswith("usage: bgrank "), command
+        assert captured.err.endswith(f"bgrank: error: unrecognized arguments: --out {target}\n"), command
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_report_files_are_the_commands_stdout(tmp_path, capsys):
+    # report and the commands render through one path: each job's two files
+    # hold the bytes its argv prints in each format
+    assert main(["--no-cache", "report", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == ""
+    for name, argv in cli._REPORT_JOBS:
+        for fmt in ("csv", "json"):
+            assert main(["--no-cache", "--format", fmt, *argv.split()]) == 0, name
+            printed = capsys.readouterr().out.encode("ascii")
+            assert printed == (tmp_path / f"{name}.{fmt}").read_bytes(), (name, fmt)
 
 
 def test_cli_subcommands_are_documented_and_pinned():

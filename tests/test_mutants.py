@@ -17,7 +17,7 @@ def _mutants():
 
 def test_each_mutant_applies_once_and_names_existing_tests():
     mutants = _mutants()
-    assert len({m.name for m in mutants}) == len(mutants) >= 10
+    assert len({m.name for m in mutants}) == len(mutants) >= 13
     for mutant in mutants:
         assert (ROOT / mutant.path).read_text().count(mutant.snippet) == 1, mutant.name
         assert mutant.replacement != mutant.snippet and mutant.tests, mutant.name

@@ -255,3 +255,28 @@ def test_beads_go_onto_runners_in_one_place():
             owner = getattr(top, "name", "<module>")
             placed += [f"{path.name}:{owner}" for node in ast.walk(top) if _places_beads(node)]
     assert placed == ["partitions.py:_runners"]
+
+
+def _callers(tree: ast.Module, names: set[str]) -> set[str]:
+    """Dotted name of the innermost function around each call, in ``tree``,
+    of a function or method named in ``names``."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, ast.FunctionDef):
+            owner = f"{owner}.{node.name}" if owner else node.name
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) in names:
+            found.add(owner or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "")
+    return found
+
+
+def test_cli_writes_files_in_report_and_the_cache_self_check_alone():
+    # a command's output goes to stdout, or for report to its directory; the
+    # only other file the CLI writes is validate's corrupted cache copy in its
+    # own temp dir.  A second sink for a command's text could drift from both
+    writers = _callers(ast.parse((PACKAGE / "cli.py").read_text()), {"write_text", "write_bytes", "open"})
+    assert writers == {"cmd_report", "_validation_checks.cache_check"}

@@ -1,5 +1,5 @@
-"""Mutants of the exact-verdict and cache-check code: each one must fail a
-named test.
+"""Mutants of the exact-verdict, cache-check and size-cap code: each one must
+fail a named test.
 
     python tools/mutants.py
 
@@ -40,6 +40,7 @@ TURAN = "src/bgrank/turan.py"
 TURAN_TESTS = "tests/test_turan.py"
 CACHE = "src/bgrank/cache.py"
 CACHE_TESTS = "tests/test_cache_cli.py"
+CLI = "src/bgrank/cli.py"
 
 MUTANTS = (
     Mutant(
@@ -114,6 +115,30 @@ MUTANTS = (
         "        dst += (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)",
         "        dst += (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2 + 1)",
         ("tests/test_series.py::test_p_values_pentagonal",),
+    ),
+    Mutant(
+        "p2-cap-plus-1",
+        CLI,
+        "p2_values(args.n_max), 10**5)",
+        "p2_values(args.n_max), 10**5 + 1)",
+        (
+            f"{CACHE_TESTS}::test_cli_table_cap_is_checked_before_the_cache_and_the_build",
+            f"{CACHE_TESTS}::test_cli_alpha_cap_is_checked_before_the_build",
+        ),
+    ),
+    Mutant(
+        "class-table-cap-plus-1",
+        CLI,
+        "CLASS_TABLE_MAX_N = 4000",
+        "CLASS_TABLE_MAX_N = 4001",
+        (f"{CACHE_TESTS}::test_cli_size_caps_are_checked_before_the_build",),
+    ),
+    Mutant(
+        "onset-degree-cap-plus-1",
+        CLI,
+        "ONSET_MAX_DEGREE = 24",
+        "ONSET_MAX_DEGREE = 25",
+        (f"{CACHE_TESTS}::test_cli_size_caps_are_checked_before_the_build",),
     ),
 )
 
